@@ -5,9 +5,12 @@
 //! through [`ecl_telemetry::schema::validate_line`] — full JSON parse,
 //! schema version check, required preamble (`schema`/`ts`/`run_id`/
 //! `event`), per-kind required fields, unknown-kind rejection — and
-//! prints a per-kind tally. Any invalid line is reported with its
-//! line number and the process exits non-zero, so CI can gate on the
-//! example's emitted stream staying schema-valid.
+//! through [`ecl_telemetry::schema::SessionAttribution`]: a line
+//! stamped with a fleet session must carry the `run_id` of that
+//! session's open `run_start`. It prints a per-kind tally. Any invalid
+//! or misattributed line is reported with its line number and the
+//! process exits non-zero, so CI can gate on emitted streams staying
+//! schema-valid and attributable.
 //!
 //! Usage: `check_telemetry <FILE|->`
 
@@ -30,6 +33,7 @@ fn main() {
     };
 
     let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
+    let mut attribution = schema::SessionAttribution::new();
     let mut bad = 0usize;
     let mut total = 0usize;
     for (i, line) in input.lines().enumerate() {
@@ -37,14 +41,14 @@ fn main() {
             continue;
         }
         total += 1;
-        match schema::validate_line(line) {
-            Ok(()) => {
+        let checked = schema::validate_line(line)
+            .and_then(|()| schema::parse(line))
+            .and_then(|j| attribution.check(&j).map(|()| j));
+        match checked {
+            Ok(j) => {
                 // validate_line guarantees `event` exists and is a string.
-                let kind = schema::parse(line)
-                    .ok()
-                    .and_then(|j| j.get("event").and_then(|e| e.as_str().map(String::from)))
-                    .unwrap_or_default();
-                *kinds.entry(kind).or_insert(0) += 1;
+                let kind = j.get("event").and_then(|e| e.as_str()).unwrap_or_default();
+                *kinds.entry(kind.to_string()).or_insert(0) += 1;
             }
             Err(e) => {
                 eprintln!("line {}: {e}", i + 1);

@@ -26,6 +26,8 @@ use crate::elab::Elab;
 use crate::split::DataTable;
 use ecl_syntax::ast::Program;
 use ecl_syntax::diag::DiagSink;
+use ecl_telemetry::metrics as tm;
+use ecl_telemetry::Probe;
 use ecl_types::vm::{self, Compiled};
 use ecl_types::{
     FxHashMap, Lowering, Machine, SignalLayout, TypeId, TypeTable, Value, ValuesReader,
@@ -79,13 +81,16 @@ struct Demoted {
 #[derive(Debug, Clone)]
 pub struct Rt {
     machine: Machine,
-    data: DataTable,
+    /// The extracted data hooks (walker fallback). Immutable after
+    /// construction, like the signal layout below: `Arc`-shared so a
+    /// clone copies only the mutable state.
+    data: Arc<DataTable>,
     /// Signal index → current value (valued signals only).
     values: Vec<Option<Value>>,
     /// Signal index → resolved value type.
-    sig_types: Vec<Option<ecl_types::TypeId>>,
+    sig_types: Arc<[Option<ecl_types::TypeId>]>,
     /// Signal name → index.
-    by_name: FxHashMap<String, usize>,
+    by_name: Arc<FxHashMap<String, usize>>,
     /// First evaluation error encountered (subsequent actions are
     /// skipped until it is taken).
     error: Option<ecl_types::EvalError>,
@@ -98,6 +103,10 @@ pub struct Rt {
     /// Register-file scratch reused across hook runs (no steady-state
     /// allocation).
     vm_regs: Vec<i64>,
+    /// The data path's unflushed telemetry (VM hook, opcode and
+    /// walker-hook counts); the owning runner flushes it at its
+    /// boundaries. Not state: a clone starts empty.
+    probe: Probe,
     /// Which backend dispatches the data hooks: [`Backend::Compiled`]
     /// (default) runs them on the bytecode VM; [`Backend::Walker`]
     /// forces the tree-walker everywhere — observationally identical,
@@ -204,14 +213,15 @@ impl Rt {
         };
         Ok(Rt {
             machine,
-            data: data.clone(),
+            data: Arc::new(data.clone()),
             values,
-            sig_types,
-            by_name,
+            sig_types: sig_types.into(),
+            by_name: Arc::new(by_name),
             error: None,
             progs,
             demoted,
             vm_regs: Vec::new(),
+            probe: Probe::new(),
             backend: Backend::default(),
             action_runs: 0,
             pred_evals: 0,
@@ -274,6 +284,12 @@ impl Rt {
     /// declaration added a binding.)
     fn progs_valid(&self) -> bool {
         self.backend == Backend::Compiled && self.progs.root_len == self.machine.root_len()
+    }
+
+    /// The data path's unflushed telemetry, for the owning runner to
+    /// fold into its own probe at a boundary.
+    pub fn probe_mut(&mut self) -> &mut Probe {
+        &mut self.probe
     }
 
     /// Take the first pending evaluation error, if any.
@@ -429,15 +445,16 @@ impl DataHooks for Rt {
             data,
             progs,
             vm_regs,
+            probe,
             ..
         } = self;
         let out = if vm_path {
             let Compiled::Vm(prog) = &progs.preds[i] else {
                 unreachable!("vm_path checked above")
             };
-            vm::run(prog, machine, values, by_name, vm_regs).map(|v| v != 0)
+            vm::run(prog, machine, values, by_name, vm_regs, probe).map(|v| v != 0)
         } else {
-            ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+            probe.add(tm::VM_WALKER_HOOKS, 1);
             machine
                 .eval(&data.preds[i], &ValuesReader { values, by_name })
                 .map(|v| v.is_truthy())
@@ -474,17 +491,18 @@ impl DataHooks for Rt {
             data,
             progs,
             vm_regs,
+            probe,
             ..
         } = self;
         if vm_path {
             let Compiled::Vm(prog) = &progs.actions[i] else {
                 unreachable!("vm_path checked above")
             };
-            if let Err(e) = vm::run(prog, machine, values, by_name, vm_regs) {
+            if let Err(e) = vm::run(prog, machine, values, by_name, vm_regs, probe) {
                 self.error = Some(e);
             }
         } else {
-            ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+            probe.add(tm::VM_WALKER_HOOKS, 1);
             let reader = ValuesReader { values, by_name };
             for s in &data.actions[i] {
                 if let Err(e) = machine.exec(s, &reader) {
@@ -519,6 +537,7 @@ impl DataHooks for Rt {
             sig_types,
             progs,
             vm_regs,
+            probe,
             ..
         } = self;
         let (e, target) = &data.emit_exprs[i];
@@ -529,12 +548,12 @@ impl DataHooks for Rt {
             let Compiled::Vm(prog) = &progs.emits[i] else {
                 unreachable!("vm_path checked above")
             };
-            if let Err(e) = vm::run(prog, machine, values, by_name, vm_regs) {
+            if let Err(e) = vm::run(prog, machine, values, by_name, vm_regs, probe) {
                 self.error = Some(e);
             }
             return;
         }
-        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+        probe.add(tm::VM_WALKER_HOOKS, 1);
         let out = machine.eval(e, &ValuesReader { values, by_name });
         match out {
             Ok(v) => {

@@ -35,6 +35,8 @@ use crate::value::Value;
 use ecl_syntax::ast::Stmt;
 use ecl_syntax::fxmap::FxHashMap;
 use ecl_syntax::source::Span;
+use ecl_telemetry::metrics as tm;
+use ecl_telemetry::Probe;
 
 /// How a register's `i64` maps onto a C integer type: the bit width,
 /// signedness, and `bool`'s 0/1 normalization. A register is always
@@ -406,7 +408,7 @@ impl Op {
     /// The opcode's telemetry mnemonic (matches
     /// `ecl_telemetry::metrics::VM_OP_NAMES`).
     pub fn mnemonic(&self) -> &'static str {
-        ecl_telemetry::metrics::VM_OP_NAMES[self.telemetry_index()]
+        tm::VM_OP_NAMES[self.telemetry_index()]
     }
 }
 
@@ -468,7 +470,8 @@ impl SignalReader for ValuesReader<'_> {
 /// fallback ops; `values` is the signal-value table (read by loads,
 /// written in place by [`Op::StoreSig`]/[`Op::EmitCopy`]); `regs` is
 /// caller-owned scratch reused across runs (no steady-state
-/// allocation). Returns the result register's value.
+/// allocation); the run's hook, per-opcode and fallback counts go to
+/// `probe`. Returns the result register's value.
 ///
 /// # Errors
 ///
@@ -481,23 +484,14 @@ pub fn run(
     values: &mut [Option<Value>],
     by_name: &FxHashMap<String, usize>,
     regs: &mut Vec<i64>,
+    probe: &mut Probe,
 ) -> Result<i64, EvalError> {
     regs.clear();
     regs.resize(prog.regs as usize, 0);
-    // Hoist the telemetry gate once per program run; per-op counting is
-    // then a predictable branch on a register-held bool.
-    let tel = ecl_telemetry::enabled();
-    if tel {
-        ecl_telemetry::metrics::VM_HOOK_RUNS.raw_add(1);
-    }
+    probe.add(tm::VM_HOOK_RUNS, 1);
     let mut pc = 0usize;
     while pc < prog.ops.len() {
-        if tel {
-            ecl_telemetry::metrics::VM_OPS[prog.ops[pc].telemetry_index()].raw_add(1);
-            if matches!(prog.ops[pc], Op::FallbackStmt { .. }) {
-                ecl_telemetry::metrics::VM_FALLBACK_STMTS.raw_add(1);
-            }
-        }
+        probe.add(tm::VM_OPS[prog.ops[pc].telemetry_index()], 1);
         match prog.ops[pc] {
             Op::Burn { n, span } => m.burn_n(u64::from(n), span)?,
             Op::Const { dst, v } => regs[dst as usize] = v,
@@ -660,6 +654,7 @@ pub fn run(
                 cont,
                 ret,
             } => {
+                probe.add(tm::VM_FALLBACK_STMTS, 1);
                 let reader = ValuesReader {
                     values: &*values,
                     by_name,
@@ -796,10 +791,10 @@ mod tests {
                 ret: 0,
             },
         ];
-        assert_eq!(ops.len(), ecl_telemetry::metrics::VM_OP_NAMES.len());
+        assert_eq!(ops.len(), tm::VM_OP_NAMES.len());
         for (i, op) in ops.iter().enumerate() {
             assert_eq!(op.telemetry_index(), i, "{op:?}");
-            assert_eq!(op.mnemonic(), ecl_telemetry::metrics::VM_OP_NAMES[i]);
+            assert_eq!(op.mnemonic(), tm::VM_OP_NAMES[i]);
         }
     }
 

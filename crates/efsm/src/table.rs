@@ -38,6 +38,7 @@ use crate::machine::{Efsm, Signal, StateId, StepOut};
 use crate::sgraph::{Node, NodeId};
 use crate::{ActionId, BitSet, DataHooks, ExprId, PredId};
 use ecl_telemetry::metrics as tm;
+use ecl_telemetry::Probe;
 use std::collections::HashMap;
 
 /// Per-state cap on fused rows. An s-graph with `n` independent
@@ -449,7 +450,7 @@ impl CompiledEfsm {
         ri: usize,
         hooks: &mut dyn DataHooks,
         emitted: &mut Vec<Signal>,
-        tel: bool,
+        probe: &mut Probe,
     ) -> StepOut {
         let row = &self.rows[ri];
         if row.entry == NO_PROG {
@@ -459,7 +460,7 @@ impl CompiledEfsm {
                 nodes_visited: row.nodes,
             }
         } else {
-            self.run_program(row.entry, hooks, emitted, tel)
+            self.run_program(row.entry, hooks, emitted, probe)
         }
     }
 
@@ -472,7 +473,7 @@ impl CompiledEfsm {
         entry: u32,
         hooks: &mut dyn DataHooks,
         emitted: &mut Vec<Signal>,
-        tel: bool,
+        probe: &mut Probe,
     ) -> StepOut {
         let mut pc = entry as usize;
         let mut nodes = 0u32;
@@ -503,10 +504,8 @@ impl CompiledEfsm {
                 }
                 FusedOp::End { target } => {
                     nodes += 1;
-                    if tel {
-                        tm::TABLE_FUSED_HITS.raw_add(1);
-                        tm::TABLE_FUSED_OPS.raw_add(ops_run);
-                    }
+                    probe.add(tm::TABLE_FUSED_HITS, 1);
+                    probe.add(tm::TABLE_FUSED_OPS, ops_run);
                     return StepOut {
                         next: target,
                         nodes_visited: nodes,
@@ -522,7 +521,9 @@ impl CompiledEfsm {
     /// `emitted`, or running a program row's residual bytecode against
     /// `hooks`. States past the row cap delegate to [`Efsm::step_bits`]
     /// on `m` — which must be the machine this table was compiled
-    /// from. Allocation-free on the fused path.
+    /// from. Allocation-free on the fused path. The step's table
+    /// counters (steps, rows scanned, fast-path and fallback hits,
+    /// fused ops) go to `probe`.
     ///
     /// # Panics
     ///
@@ -535,24 +536,18 @@ impl CompiledEfsm {
         inputs: &BitSet,
         hooks: &mut dyn DataHooks,
         emitted: &mut Vec<Signal>,
+        probe: &mut Probe,
     ) -> StepOut {
         debug_assert_eq!(m.states.len(), self.states.len(), "table/machine mismatch");
-        let tel = ecl_telemetry::enabled();
-        if tel {
-            tm::TABLE_STEPS.raw_add(1);
-        }
+        probe.add(tm::TABLE_STEPS, 1);
         let (lo, hi) = match self.states[state.0 as usize] {
             StateExec::Table { lo, hi } => (lo, hi),
             StateExec::Always { row } => {
-                if tel {
-                    tm::TABLE_ALWAYS_HITS.raw_add(1);
-                }
-                return self.fire(row as usize, hooks, emitted, tel);
+                probe.add(tm::TABLE_ALWAYS_HITS, 1);
+                return self.fire(row as usize, hooks, emitted, probe);
             }
             StateExec::Walk => {
-                if tel {
-                    tm::TABLE_WALK_FALLBACKS.raw_add(1);
-                }
+                probe.add(tm::TABLE_WALK_FALLBACKS, 1);
                 return m.step_bits(state, inputs, hooks, emitted);
             }
         };
@@ -564,10 +559,8 @@ impl CompiledEfsm {
             let inw = inputs.word(0);
             for (k, pair) in self.masks[lo * 2..hi * 2].chunks_exact(2).enumerate() {
                 if inw & pair[0] == pair[1] {
-                    if tel {
-                        tm::TABLE_ROWS_SCANNED.raw_add(k as u64 + 1);
-                    }
-                    return self.fire(lo + k, hooks, emitted, tel);
+                    probe.add(tm::TABLE_ROWS_SCANNED, k as u64 + 1);
+                    return self.fire(lo + k, hooks, emitted, probe);
                 }
             }
         } else {
@@ -578,10 +571,8 @@ impl CompiledEfsm {
                     &self.masks[base + w..base + 2 * w],
                 );
                 if (0..w).all(|k| inputs.word(k) & watch[k] == matched[k]) {
-                    if tel {
-                        tm::TABLE_ROWS_SCANNED.raw_add((ri - lo) as u64 + 1);
-                    }
-                    return self.fire(ri, hooks, emitted, tel);
+                    probe.add(tm::TABLE_ROWS_SCANNED, (ri - lo) as u64 + 1);
+                    return self.fire(ri, hooks, emitted, probe);
                 }
             }
         }
@@ -642,7 +633,7 @@ mod tests {
         let mut e1 = Vec::new();
         let mut e2 = Vec::new();
         let r1 = m.step_bits(s, &bits, &mut NoHooks, &mut e1);
-        let r2 = c.step_table(m, s, &bits, &mut NoHooks, &mut e2);
+        let r2 = c.step_table(m, s, &bits, &mut NoHooks, &mut e2, &mut Probe::new());
         assert_eq!(e1, e2, "emission order from state {s:?} inputs {inputs:?}");
         (r1, r2)
     }
@@ -777,7 +768,7 @@ mod tests {
             let mut e1 = Vec::new();
             let mut e2 = Vec::new();
             let r1 = m.step_bits(StateId(0), &bits, &mut h1, &mut e1);
-            let r2 = c.step_table(&m, StateId(0), &bits, &mut h2, &mut e2);
+            let r2 = c.step_table(&m, StateId(0), &bits, &mut h2, &mut e2, &mut Probe::new());
             assert_eq!(r1, r2);
             assert_eq!(e1, e2);
             assert_eq!(h1.calls, h2.calls);
@@ -825,6 +816,7 @@ mod tests {
                 &bits,
                 &mut crate::ConstHooks(answer),
                 &mut e2,
+                &mut Probe::new(),
             );
             assert_eq!(r1, r2);
             assert_eq!(e1, e2);
@@ -881,7 +873,7 @@ mod tests {
             let mut e1 = Vec::new();
             let mut e2 = Vec::new();
             let r1 = m.step_bits(StateId(0), &bits, &mut h1, &mut e1);
-            let r2 = c.step_table(&m, StateId(0), &bits, &mut h2, &mut e2);
+            let r2 = c.step_table(&m, StateId(0), &bits, &mut h2, &mut e2, &mut Probe::new());
             assert_eq!(r1, r2, "inputs {inputs:?} answers {answers:?}");
             assert_eq!(e1, e2);
             assert_eq!(h1.calls, h2.calls);
@@ -926,6 +918,7 @@ mod tests {
                     &bits,
                     &mut crate::ConstHooks(answer),
                     &mut e2,
+                    &mut Probe::new(),
                 );
                 assert_eq!(r1, r2, "inputs {inputs:?} answer {answer}");
             }
@@ -1001,7 +994,14 @@ mod tests {
         assert_eq!(r1, r2);
         let mut e2 = Vec::new();
         let bits: BitSet = [69usize].into_iter().collect();
-        c.step_table(&m, StateId(0), &bits, &mut NoHooks, &mut e2);
+        c.step_table(
+            &m,
+            StateId(0),
+            &bits,
+            &mut NoHooks,
+            &mut e2,
+            &mut Probe::new(),
+        );
         assert_eq!(e2, vec![out]);
     }
 
@@ -1037,7 +1037,14 @@ mod tests {
         let walked = m.step(StateId(0), &present, &mut NoHooks);
         let bits: BitSet = [a.0 as usize].into_iter().collect();
         let mut e2 = Vec::new();
-        let tabled = c.step_table(&m, StateId(0), &bits, &mut NoHooks, &mut e2);
+        let tabled = c.step_table(
+            &m,
+            StateId(0),
+            &bits,
+            &mut NoHooks,
+            &mut e2,
+            &mut Probe::new(),
+        );
         assert_eq!(walked.next, tabled.next);
         assert_eq!(walked.emitted, e2);
     }

@@ -542,6 +542,10 @@ fn drive_session(
                 pressure,
             )
         }));
+        // Quantum boundary: the shard's plain per-session counts (the
+        // monitors' too, in the thread's probe) reach the shared
+        // registry here, whatever the outcome.
+        runner.flush_telemetry();
         match res {
             Ok(Ok(Step::Done)) => {
                 runner.emit_losses();
@@ -778,9 +782,8 @@ fn run_quantum(
         runner.instant_ids(&ev_bits, &mut present)?;
         present.union_with(&ev_bits);
         if instant.is_multiple_of(stride) {
-            let table = Arc::clone(runner.sig_table());
             for m in monitors.iter_mut() {
-                m.step_ids(instant, &present, &table);
+                m.step_ids(instant, &present, runner.sig_table());
             }
         }
         *cursor += 1;

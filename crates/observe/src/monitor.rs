@@ -21,6 +21,7 @@
 //! shim with identical verdicts.
 
 use crate::synth::MonitorSpec;
+use ecl_telemetry::metrics as tm;
 use efsm::{Backend, BitSet, NoHooks, SigTable, Signal, StateId};
 use sim::runner::Present;
 use sim::trace::Trace;
@@ -156,27 +157,32 @@ impl Monitor {
     }
 
     /// One machine instant over the chosen backend, with
-    /// `input_scratch` as the monitor-local present set.
+    /// `input_scratch` as the monitor-local present set. Counts go to
+    /// the thread's probe, which the runner stepping beside this
+    /// monitor flushes at its boundaries.
     fn machine_step(&mut self) {
-        ecl_telemetry::metrics::MON_STEPS.incr();
-        self.emit_scratch.clear();
-        let r = if self.backend == Backend::Compiled {
-            self.spec.table.step_table(
-                &self.spec.efsm,
-                self.state,
-                &self.input_scratch,
-                &mut NoHooks,
-                &mut self.emit_scratch,
-            )
-        } else {
-            self.spec.efsm.step_bits(
-                self.state,
-                &self.input_scratch,
-                &mut NoHooks,
-                &mut self.emit_scratch,
-            )
-        };
-        self.state = r.next;
+        ecl_telemetry::with_thread_probe(|probe| {
+            probe.add(tm::MON_STEPS, 1);
+            self.emit_scratch.clear();
+            let r = if self.backend == Backend::Compiled {
+                self.spec.table.step_table(
+                    &self.spec.efsm,
+                    self.state,
+                    &self.input_scratch,
+                    &mut NoHooks,
+                    &mut self.emit_scratch,
+                    probe,
+                )
+            } else {
+                self.spec.efsm.step_bits(
+                    self.state,
+                    &self.input_scratch,
+                    &mut NoHooks,
+                    &mut self.emit_scratch,
+                )
+            };
+            self.state = r.next;
+        })
     }
 
     /// The underlying spec.
@@ -250,16 +256,17 @@ impl Monitor {
         None
     }
 
-    /// Telemetry on a freshly latched violation: bump the counter and
-    /// emit a `verdict` event (slow path — runs at most once per
-    /// monitor per run).
+    /// Telemetry on a freshly latched violation: count it and emit a
+    /// `verdict` event attributed to the session running on this
+    /// thread (slow path — runs at most once per monitor per run).
     fn note_violation(&self, instant: u64, property: usize) {
-        ecl_telemetry::metrics::MON_VIOLATIONS.incr();
+        ecl_telemetry::with_thread_probe(|probe| probe.add(tm::MON_VIOLATIONS, 1));
         if let Some(e) = ecl_telemetry::event("verdict") {
             e.str("monitor", &self.spec.name)
                 .str("verdict", "fail")
                 .u64("instant", instant)
                 .u64("property", property as u64)
+                .u64("session", ecl_telemetry::current_session())
                 .emit();
         }
     }
@@ -313,8 +320,11 @@ impl Monitor {
         self.finish()
     }
 
-    /// Conclude the run: a monitor still `Running` passes.
+    /// Conclude the run: a monitor still `Running` passes. Flushes the
+    /// thread's probe, for monitors stepped outside any runner (a
+    /// [`Monitor::replay`]).
     pub fn finish(&mut self) -> Verdict {
+        ecl_telemetry::flush_thread_probe();
         if self.verdict == Verdict::Running {
             self.verdict = Verdict::Pass;
         }

@@ -22,6 +22,7 @@
 //! inside tasks and owns the id ↔ name mapping.
 
 use ecl_telemetry::metrics as tm;
+use ecl_telemetry::Probe;
 use efsm::BitSet;
 
 /// Handle of a registered task.
@@ -82,6 +83,19 @@ pub struct Kernel {
     pub dispatches: u64,
     /// Events delivered (external + internal).
     pub deliveries: u64,
+}
+
+/// The kernel's work totals at one point in time. A runner keeps the
+/// totals at its last telemetry flush and counts the difference into
+/// its probe at the next one ([`Kernel::flush_into`]), so the kernel's
+/// own plain counters are its only per-event bookkeeping.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelTotals {
+    dispatches: u64,
+    deliveries: u64,
+    events_lost: u64,
+    task_cycles: u64,
+    rtos_cycles: u64,
 }
 
 impl Default for Kernel {
@@ -146,13 +160,10 @@ impl Kernel {
         for t in watchers {
             self.rtos_cycles += self.params.input_cycles;
             self.deliveries += 1;
-            tm::RTK_DELIVERIES.incr();
-            tm::RTK_RTOS_CYCLES.add(self.params.input_cycles);
             let cb = &mut self.tasks[t.0];
             if cb.pending.contains(sig as usize) {
                 self.events_lost += 1;
                 cb.lost += 1;
-                tm::RTK_EVENTS_LOST.incr();
                 continue;
             }
             if let Some(cap) = cap {
@@ -162,7 +173,6 @@ impl Kernel {
                     // accounting as an overwrite.
                     self.events_lost += 1;
                     cb.lost += 1;
-                    tm::RTK_EVENTS_LOST.incr();
                     ecl_faults::note_mailbox_rejection(t.0 as u64, sig);
                     continue;
                 }
@@ -203,20 +213,16 @@ impl Kernel {
             }
             self.rtos_cycles += self.params.send_cycles;
             self.deliveries += 1;
-            tm::RTK_DELIVERIES.incr();
-            tm::RTK_RTOS_CYCLES.add(self.params.send_cycles);
             let cb = &mut self.tasks[t.0];
             if cb.pending.contains(sig as usize) {
                 self.events_lost += 1;
                 cb.lost += 1;
-                tm::RTK_EVENTS_LOST.incr();
                 continue;
             }
             if let Some(cap) = cap {
                 if cb.pending.len() >= cap {
                     self.events_lost += 1;
                     cb.lost += 1;
-                    tm::RTK_EVENTS_LOST.incr();
                     ecl_faults::note_mailbox_rejection(t.0 as u64, sig);
                     continue;
                 }
@@ -271,11 +277,6 @@ impl Kernel {
         let id = TaskId(best.0);
         self.rtos_cycles += self.params.dispatch_cycles;
         self.dispatches += 1;
-        if ecl_telemetry::enabled() {
-            tm::RTK_DISPATCHES.raw_add(1);
-            tm::RTK_RTOS_CYCLES.raw_add(self.params.dispatch_cycles);
-            tm::RTK_MAILBOX_OCCUPANCY.raw_record(self.tasks[id.0].pending.len() as u64);
-        }
         events.clear();
         events.union_with(&self.tasks[id.0].pending);
         self.tasks[id.0].pending.clear();
@@ -289,20 +290,37 @@ impl Kernel {
     pub fn dispatch_into(&mut self, id: TaskId, events: &mut BitSet) {
         self.rtos_cycles += self.params.dispatch_cycles;
         self.dispatches += 1;
-        if ecl_telemetry::enabled() {
-            tm::RTK_DISPATCHES.raw_add(1);
-            tm::RTK_RTOS_CYCLES.raw_add(self.params.dispatch_cycles);
-            tm::RTK_MAILBOX_OCCUPANCY.raw_record(self.tasks[id.0].pending.len() as u64);
-        }
         events.clear();
         events.union_with(&self.tasks[id.0].pending);
         self.tasks[id.0].pending.clear();
     }
 
+    /// The current work totals.
+    pub fn totals(&self) -> KernelTotals {
+        KernelTotals {
+            dispatches: self.dispatches,
+            deliveries: self.deliveries,
+            events_lost: self.events_lost,
+            task_cycles: self.task_cycles,
+            rtos_cycles: self.rtos_cycles,
+        }
+    }
+
+    /// Count the work done since `flushed` (the totals at the previous
+    /// flush) into `probe`, and advance `flushed` to now.
+    pub fn flush_into(&self, flushed: &mut KernelTotals, probe: &mut Probe) {
+        let now = self.totals();
+        probe.add(tm::RTK_DISPATCHES, now.dispatches - flushed.dispatches);
+        probe.add(tm::RTK_DELIVERIES, now.deliveries - flushed.deliveries);
+        probe.add(tm::RTK_EVENTS_LOST, now.events_lost - flushed.events_lost);
+        probe.add(tm::RTK_TASK_CYCLES, now.task_cycles - flushed.task_cycles);
+        probe.add(tm::RTK_RTOS_CYCLES, now.rtos_cycles - flushed.rtos_cycles);
+        *flushed = now;
+    }
+
     /// Charge application cycles (the caller measured a reaction).
     pub fn charge_task(&mut self, cycles: u64) {
         self.task_cycles += cycles;
-        tm::RTK_TASK_CYCLES.add(cycles);
     }
 
     /// Emit the per-task loss totals as an `events_lost` telemetry
@@ -347,6 +365,16 @@ mod tests {
     const X: u32 = 0;
     const Y: u32 = 1;
 
+    // The fault plan is process-global and every post reads it (the
+    // mailbox cap, the internal drop/delay streams): every test that
+    // posts events serializes on this lock, so a plan another test
+    // installed can neither drop its events nor consume its draws.
+    static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn fault_locked() -> std::sync::MutexGuard<'static, ()> {
+        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn set(sigs: &[u32]) -> BitSet {
         sigs.iter().map(|s| *s as usize).collect()
     }
@@ -358,6 +386,7 @@ mod tests {
 
     #[test]
     fn external_events_wake_watchers() {
+        let _g = fault_locked();
         let mut k = Kernel::default();
         let a = k.add_task("a", 1, set(&[X]));
         let _b = k.add_task("b", 2, set(&[Y]));
@@ -371,6 +400,7 @@ mod tests {
 
     #[test]
     fn priority_order() {
+        let _g = fault_locked();
         let mut k = Kernel::default();
         let _lo = k.add_task("lo", 1, set(&[X]));
         let hi = k.add_task("hi", 9, set(&[X]));
@@ -381,6 +411,7 @@ mod tests {
 
     #[test]
     fn one_place_mailbox_loses_events() {
+        let _g = fault_locked();
         let mut k = Kernel::default();
         let _a = k.add_task("a", 1, set(&[X]));
         k.post_external(X);
@@ -392,6 +423,7 @@ mod tests {
 
     #[test]
     fn losses_are_attributed_per_task() {
+        let _g = fault_locked();
         let mut k = Kernel::default();
         let a = k.add_task("a", 1, set(&[X]));
         let b = k.add_task("b", 2, set(&[X, Y]));
@@ -408,13 +440,6 @@ mod tests {
             .map(|(t, _)| k.task_name(*t))
             .collect();
         assert_eq!(names, vec!["a", "b"]);
-    }
-
-    // Fault-site tests share the process-global plan; serialize them.
-    static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn fault_locked() -> std::sync::MutexGuard<'static, ()> {
-        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
@@ -500,6 +525,7 @@ mod tests {
 
     #[test]
     fn internal_send_skips_sender() {
+        let _g = fault_locked();
         let mut k = Kernel::default();
         let a = k.add_task("a", 1, set(&[X]));
         let b = k.add_task("b", 1, set(&[X]));
@@ -511,6 +537,7 @@ mod tests {
 
     #[test]
     fn cycle_accounting_separates_task_and_rtos() {
+        let _g = fault_locked();
         let p = KernelParams::default();
         let mut k = Kernel::new(p);
         let a = k.add_task("a", 1, set(&[X]));
@@ -524,6 +551,7 @@ mod tests {
 
     #[test]
     fn equal_priority_ties_break_by_index() {
+        let _g = fault_locked();
         let mut k = Kernel::default();
         let a = k.add_task("a", 1, set(&[X]));
         let b = k.add_task("b", 1, set(&[X]));
@@ -536,6 +564,7 @@ mod tests {
 
     #[test]
     fn dispatch_into_drains_a_specific_task() {
+        let _g = fault_locked();
         let mut k = Kernel::default();
         let a = k.add_task("a", 1, set(&[X]));
         k.post_external(X);
@@ -546,6 +575,35 @@ mod tests {
         // A drained mailbox dispatches again as empty.
         k.dispatch_into(a, &mut ev);
         assert!(ev.is_empty());
+    }
+
+    #[test]
+    fn flush_into_counts_work_since_the_last_flush() {
+        let _g = fault_locked();
+        let p = KernelParams::default();
+        let mut k = Kernel::new(p);
+        let a = k.add_task("a", 1, set(&[X]));
+        let mut flushed = KernelTotals::default();
+        let mut probe = Probe::new();
+        k.post_external(X);
+        k.post_external(X); // overwrites
+        k.dispatch_into(a, &mut BitSet::new());
+        k.charge_task(7);
+        k.flush_into(&mut flushed, &mut probe);
+        assert_eq!(probe.get(tm::RTK_DISPATCHES), 1);
+        assert_eq!(probe.get(tm::RTK_DELIVERIES), 2);
+        assert_eq!(probe.get(tm::RTK_EVENTS_LOST), 1);
+        assert_eq!(probe.get(tm::RTK_TASK_CYCLES), 7);
+        assert_eq!(
+            probe.get(tm::RTK_RTOS_CYCLES),
+            2 * p.input_cycles + p.dispatch_cycles
+        );
+        // A second flush counts only the new work.
+        k.dispatch_into(a, &mut BitSet::new());
+        k.flush_into(&mut flushed, &mut probe);
+        assert_eq!(probe.get(tm::RTK_DISPATCHES), 2);
+        assert_eq!(probe.get(tm::RTK_DELIVERIES), 2);
+        assert_eq!(flushed, k.totals());
     }
 
     #[test]

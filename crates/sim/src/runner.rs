@@ -22,9 +22,10 @@ use crate::trace::{Recorder, Trace};
 use codegen::cost::CostParams;
 use ecl_core::{Design, Rt};
 use ecl_telemetry::metrics as tm;
+use ecl_telemetry::Probe;
 use efsm::{Backend, BitSet, CompiledEfsm, DataHooks, Efsm, SigId, SigTable, Signal, StateId};
 use esterel::compile::CompileOptions;
-use rtk::{Kernel, KernelParams, TaskId};
+use rtk::{Kernel, KernelParams, KernelTotals, TaskId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -400,6 +401,20 @@ pub trait Runner {
     /// the error path so losses never silently vanish from a stream.
     fn emit_losses(&self) {}
 
+    /// The runner's telemetry probe: the per-instant counts
+    /// [`Runner::run_events`] keeps (instants, errors, instant wall
+    /// time) land here next to the runner's own.
+    fn probe_mut(&mut self) -> &mut Probe;
+
+    /// Flush every probe the runner owns into the process-wide
+    /// registry (see [`Probe::flush`]), and the calling thread's probe,
+    /// where monitors stepped beside the runner count
+    /// ([`ecl_telemetry::with_thread_probe`]). [`Runner::run_events`] calls
+    /// this at each span line and when it returns; callers that drive
+    /// [`Runner::instant_ids`] themselves call it at their own
+    /// boundaries. Dropping a runner flushes too.
+    fn flush_telemetry(&mut self);
+
     /// Testbench hook: drive a whole event stream, calling
     /// `on_instant` with the instant number and the [`Present`] set
     /// (stimuli plus emissions) after each instant — the attachment
@@ -416,9 +431,9 @@ pub trait Runner {
     {
         let mut ev_bits = BitSet::new();
         let mut present = BitSet::new();
-        // Telemetry state, hoisted once per call: the clock is read
-        // only when collection is on, and span bookkeeping is all
-        // locals (no allocation until a span line is rendered).
+        // The clock is read only when collection is on (checked once
+        // per call), and span bookkeeping is all locals (no allocation
+        // until a span line is rendered).
         let tel = ecl_telemetry::enabled();
         let span_every = if tel { ecl_telemetry::span_every() } else { 0 };
         let mut span_from = self.now();
@@ -442,14 +457,15 @@ pub trait Runner {
             let r = if tel {
                 let t0 = std::time::Instant::now();
                 let r = self.instant_ids(&ev_bits, &mut present);
-                tm::SIM_INSTANT_NS.raw_record(t0.elapsed().as_nanos() as u64);
-                tm::SIM_INSTANTS.raw_add(1);
+                let ns = t0.elapsed().as_nanos() as u64;
+                self.probe_mut().record(tm::SIM_INSTANT_NS, ns);
                 r
             } else {
                 self.instant_ids(&ev_bits, &mut present)
             };
+            self.probe_mut().add(tm::SIM_INSTANTS, 1);
             if let Err(e) = r {
-                tm::SIM_ERRORS.add(1);
+                self.probe_mut().add(tm::SIM_ERRORS, 1);
                 if let Some(ev) = ecl_telemetry::event("error") {
                     ev.u64("instant", instant)
                         .u64("session", self.session_id())
@@ -458,6 +474,7 @@ pub trait Runner {
                         .emit();
                 }
                 self.emit_losses();
+                self.flush_telemetry();
                 return Err(e);
             }
             present.union_with(&ev_bits);
@@ -466,6 +483,9 @@ pub trait Runner {
                 in_window += 1;
                 if in_window >= span_every {
                     let window_ns = span_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                    // The quantiles are read from the registry, so
+                    // flush this runner's window into it first.
+                    self.flush_telemetry();
                     if let Some(e) = ecl_telemetry::event("span") {
                         e.u64("from", span_from)
                             .u64("to", instant + 1)
@@ -481,6 +501,7 @@ pub trait Runner {
             }
         }
         self.emit_losses();
+        self.flush_telemetry();
         Ok(())
     }
 
@@ -730,6 +751,13 @@ pub struct AsyncRunner {
     /// Effective-stimulus scratch for fault-adjusted instants (only
     /// touched when a plan is installed).
     fault_scratch: BitSet,
+    /// Unflushed telemetry of the control path (table steps, trace
+    /// ring, mailbox occupancy, `run_events` instants). Not part of a
+    /// [`RunnerSnapshot`]: replayed instants count as work again.
+    probe: Probe,
+    /// Kernel totals at the last flush (the kernel's own counters are
+    /// folded into `probe` as differences from these).
+    flushed: KernelTotals,
 }
 
 impl AsyncRunner {
@@ -797,7 +825,21 @@ impl AsyncRunner {
             emit_scratch: Vec::new(),
             order_scratch: Vec::new(),
             fault_scratch: BitSet::new(),
+            probe: Probe::new(),
+            flushed: KernelTotals::default(),
         }
+    }
+
+    /// Fold the kernel's work since the last flush and every task's
+    /// data-path probe into the runner's probe, then flush it into the
+    /// process-wide registry.
+    pub fn flush_telemetry(&mut self) {
+        self.kernel.flush_into(&mut self.flushed, &mut self.probe);
+        for t in &mut self.tasks {
+            self.probe.absorb(t.rt.probe_mut());
+        }
+        self.probe.flush();
+        ecl_telemetry::flush_thread_probe();
     }
 
     /// Tag this runner with a fleet session id — carried on its
@@ -1027,6 +1069,9 @@ impl AsyncRunner {
         for ti in 0..self.tasks.len() {
             let id = self.tasks[ti].id;
             self.kernel.dispatch_into(id, &mut self.evset_scratch);
+            // The drained mailbox is the occupancy at dispatch.
+            self.probe
+                .record(tm::RTK_MAILBOX_OCCUPANCY, self.evset_scratch.len() as u64);
             let (nodes, ops) = self.react_task(ti, out)?;
             nodes_spent += nodes as u64;
             fuel_spent += ops;
@@ -1037,6 +1082,8 @@ impl AsyncRunner {
             budget = budget.checked_sub(1).ok_or_else(|| {
                 SimError::livelock("asynchronous network livelock (tasks keep waking each other)")
             })?;
+            self.probe
+                .record(tm::RTK_MAILBOX_OCCUPANCY, self.evset_scratch.len() as u64);
             let ti = self
                 .tasks
                 .iter()
@@ -1057,7 +1104,7 @@ impl AsyncRunner {
                 }
             }
         }
-        self.recorder.end();
+        self.recorder.end(&mut self.probe);
         self.instant += 1;
         check_watchdog(
             self.watchdog,
@@ -1131,6 +1178,7 @@ impl AsyncRunner {
                     &self.local_scratch,
                     &mut t.rt,
                     &mut self.emit_scratch,
+                    &mut self.probe,
                 )
             } else {
                 t.prog.efsm.step_bits(
@@ -1296,9 +1344,13 @@ impl Snapshot for AsyncRunner {
                 self.tasks.len()
             ));
         }
+        // The work since the last flush happened (replayed instants
+        // count again); count it before the kernel totals rewind.
+        self.flush_telemetry();
         self.instant = snap.instant;
         self.backend = snap.backend;
         self.kernel = snap.kernel.clone();
+        self.flushed = self.kernel.totals();
         self.counts = snap.counts.clone();
         self.recorder = snap.recorder.clone();
         self.watchdog = snap.watchdog;
@@ -1340,6 +1392,8 @@ pub struct InterpRunner<'d> {
     delayed: Vec<(u64, usize)>,
     /// Effective-stimulus scratch for fault-adjusted instants.
     fault_scratch: BitSet,
+    /// Unflushed telemetry (trace ring, `run_events` instants).
+    probe: Probe,
 }
 
 impl<'d> InterpRunner<'d> {
@@ -1371,6 +1425,7 @@ impl<'d> InterpRunner<'d> {
             in_instant: false,
             delayed: Vec::new(),
             fault_scratch: BitSet::new(),
+            probe: Probe::new(),
         })
     }
 
@@ -1504,7 +1559,7 @@ impl<'d> InterpRunner<'d> {
             let fuel = self.rt.machine().fuel();
             self.rt.machine_mut().set_fuel(fuel + fuel_credit);
         }
-        self.recorder.end();
+        self.recorder.end(&mut self.probe);
         self.instant += 1;
         let passes = self.machine.passes - passes_before;
         check_watchdog(self.watchdog, self.instant - 1, passes, fuel_spent, wall_t0)
@@ -1647,6 +1702,20 @@ impl Runner for AsyncRunner {
     fn emit_losses(&self) {
         self.kernel.emit_events_lost_event();
     }
+
+    fn probe_mut(&mut self) -> &mut Probe {
+        &mut self.probe
+    }
+
+    fn flush_telemetry(&mut self) {
+        AsyncRunner::flush_telemetry(self)
+    }
+}
+
+impl Drop for AsyncRunner {
+    fn drop(&mut self) {
+        self.flush_telemetry();
+    }
 }
 
 impl<'d> Runner for InterpRunner<'d> {
@@ -1696,6 +1765,16 @@ impl<'d> Runner for InterpRunner<'d> {
 
     fn now(&self) -> u64 {
         self.instant
+    }
+
+    fn probe_mut(&mut self) -> &mut Probe {
+        &mut self.probe
+    }
+
+    fn flush_telemetry(&mut self) {
+        self.probe.absorb(self.rt.probe_mut());
+        self.probe.flush();
+        ecl_telemetry::flush_thread_probe();
     }
 }
 impl From<SimError> for ecl_syntax::EclError {

@@ -23,6 +23,7 @@
 //! evicted ones. Capacity 0 means unbounded.
 
 use ecl_telemetry::metrics as tm;
+use ecl_telemetry::Probe;
 use efsm::{BitSet, SigId, SigTable};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -152,22 +153,20 @@ impl Trace {
     }
 
     /// Close the open record and push it into the ring, evicting the
-    /// oldest instant when over capacity.
-    pub fn end_instant(&mut self) {
-        if let Some(rec) = self.current.take() {
-            self.records.push_back(rec);
-            if self.capacity != 0 {
-                while self.records.len() > self.capacity {
-                    self.records.pop_front();
-                    self.dropped += 1;
-                    tm::SIM_TRACE_DROPPED.incr();
-                }
-            }
-            if ecl_telemetry::enabled() {
-                tm::SIM_TRACE_INSTANTS.raw_add(1);
-                tm::SIM_TRACE_OCCUPANCY.raw_record(self.records.len() as u64);
+    /// oldest instant when over capacity. Returns whether a record was
+    /// open.
+    pub fn end_instant(&mut self) -> bool {
+        let Some(rec) = self.current.take() else {
+            return false;
+        };
+        self.records.push_back(rec);
+        if self.capacity != 0 {
+            while self.records.len() > self.capacity {
+                self.records.pop_front();
+                self.dropped += 1;
             }
         }
+        true
     }
 
     /// Retained records, oldest first.
@@ -332,10 +331,16 @@ impl Recorder {
         }
     }
 
-    /// Close the instant's record.
-    pub fn end(&mut self) {
+    /// Close the instant's record, counting it (and any eviction) into
+    /// the runner's telemetry `probe`.
+    pub fn end(&mut self, probe: &mut Probe) {
         if let Some(tr) = &mut self.trace {
-            tr.end_instant();
+            let dropped = tr.dropped;
+            if tr.end_instant() {
+                probe.add(tm::SIM_TRACE_INSTANTS, 1);
+                probe.add(tm::SIM_TRACE_DROPPED, tr.dropped - dropped);
+                probe.record(tm::SIM_TRACE_OCCUPANCY, tr.len() as u64);
+            }
         }
     }
 }
@@ -453,7 +458,7 @@ mod tests {
         rec.note_input(x, 42);
         let stim: BitSet = [x.bit()].into_iter().collect();
         rec.begin(0, &stim);
-        rec.end();
+        rec.end(&mut Probe::new());
         let tr = rec.take().unwrap();
         let r = tr.records().next().unwrap();
         assert_eq!(r.events[0].sig, x);

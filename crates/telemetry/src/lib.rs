@@ -3,51 +3,69 @@
 //!
 //! Every execution backend in this repo (s-graph walker, transition
 //! tables, bytecode VM) ultimately runs inside the same per-instant
-//! loop; this crate gives that loop one shared window: a **lock-free
-//! metric registry** of static counter/timer/histogram handles, a
-//! **per-run correlation id**, and a **pluggable sink** that emits one
-//! JSON object per line (run boundaries, per-N-instant span summaries,
-//! monitor verdicts, error instants, `events_lost` warnings).
+//! loop; this crate gives that loop one shared window: a **closed
+//! metric registry** of counter and histogram handles, **per-runner
+//! probes** that count into it, a **per-run correlation id**, and a
+//! **pluggable sink** that emits one JSON object per line (run
+//! boundaries, per-N-instant span summaries, monitor verdicts, error
+//! instants, `events_lost` warnings).
 //!
 //! The overhead contract, enforced by `tests/alloc_counter.rs` and the
 //! normalized bench gate:
 //!
-//! * **disabled** (the default): a metric update is one relaxed
-//!   atomic load and a predicted branch — no allocation, no store, no
-//!   lock. Hot loops may hoist the check once ([`enabled`]) and use
-//!   the `raw_*` update paths behind their own local flag.
-//! * **enabled**: metric updates are relaxed atomic RMWs on static
-//!   cells — still allocation-free and lock-free. Heap traffic happens
+//! * **No atomics on the hot path.** Every runner owns a [`Probe`]:
+//!   plain `u64` counters and non-atomic histograms, indexed by the
+//!   registry in [`metrics`] (the histograms are allocated once, on
+//!   their first record). Table steps, VM ops and trace recording
+//!   count into it with ordinary adds, on or off; the kernel's own
+//!   plain totals are folded in at the flush. Monitors, stepped on
+//!   the runner's thread, count into that thread's probe
+//!   ([`with_thread_probe`]). Fleet shards therefore never write a
+//!   cache line another shard reads.
+//! * **Probes flush at boundaries.** [`Probe::flush`] adds the deltas
+//!   into the process-wide atomic cells at the end of `run_events`,
+//!   at each span line, at each fleet quantum and at a session's end
+//!   (and when the probe is dropped); a runner's flush takes the
+//!   thread's probe along ([`flush_thread_probe`]), and so does
+//!   concluding a monitor. With telemetry **disabled** (the
+//!   default) the flush discards the deltas and the registry never
+//!   moves; **enabled**, [`metrics::snapshot`] reports exactly the
+//!   totals per-event counting would have. Cold sites (fault
+//!   injection, supervision) may still [`Counter::add`] directly.
+//! * **No steady-state allocation** either way. Heap traffic happens
 //!   only when an *event line* is rendered for the sink (run
 //!   boundaries, spans, verdicts — never per instant in steady state
-//!   unless a span closes).
+//!   unless a span closes). The clock is read per instant only while
+//!   enabled (for the `sim.instant_ns` histogram).
 //!
 //! Nothing here depends on the rest of the workspace: `rtk`, `efsm`,
-//! `ecl-types`, `sim` and `ecl-observe` all depend on this crate and
-//! bump the well-known handles in [`metrics`].
+//! `ecl-types`, `sim`, `ecl-observe` and `ecl-fleet` all depend on
+//! this crate and count against the well-known handles in
+//! [`metrics`].
 
 pub mod json;
 pub mod metrics;
+mod probe;
 pub mod run;
 pub mod schema;
 pub mod sink;
 
+pub use metrics::{Counter, Histogram};
+pub use probe::{flush_thread_probe, with_thread_probe, Probe};
 pub use run::{current_session, event, EventBuilder, Run, RunCoverage};
 pub use sink::{install_sink, uninstall_sink, MemorySink, Sink, WriterSink};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
-/// Master switch. Off by default; every metric update short-circuits
-/// on a relaxed load of this flag.
+/// Master switch. Off by default; probe flushes, cold-site counter
+/// adds and event emission all check this flag.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Span summary cadence in instants (0 = spans off). Read once per
 /// `run_events` call by the sim runners.
 static SPAN_EVERY: AtomicU64 = AtomicU64::new(1024);
 
-/// Is telemetry collection on? One relaxed load — hot loops may call
-/// this once and keep the answer in a register.
+/// Is telemetry collection on? One relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -95,193 +113,18 @@ pub fn init_from_env() -> bool {
     on
 }
 
-/// A named monotonically increasing counter with a static handle.
-///
-/// `static PKTS: Counter = Counter::new("sim.packets");` — updates are
-/// relaxed `fetch_add`s when enabled and a load+branch when not.
-#[derive(Debug)]
-pub struct Counter {
-    name: &'static str,
-    cell: AtomicU64,
-}
-
-impl Counter {
-    /// A zeroed counter (const — usable in statics).
-    pub const fn new(name: &'static str) -> Counter {
-        Counter {
-            name,
-            cell: AtomicU64::new(0),
-        }
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Add `n` if telemetry is enabled.
-    #[inline(always)]
-    pub fn add(&self, n: u64) {
-        if enabled() {
-            self.raw_add(n);
-        }
-    }
-
-    /// Add 1 if telemetry is enabled.
-    #[inline(always)]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Unconditional add — for loops that hoisted the [`enabled`]
-    /// check into a local.
-    #[inline(always)]
-    pub fn raw_add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero (profiling harnesses isolate configs this way).
-    pub fn reset(&self) {
-        self.cell.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Bucket count of [`Histogram`]: one power-of-two bucket per possible
-/// `leading_zeros` answer (bucket `i` holds values in
+/// Bucket count of a [`Histogram`]: one power-of-two bucket per
+/// possible `leading_zeros` answer (bucket `i` holds values in
 /// `[2^(i-1), 2^i)`, bucket 0 holds zero).
 pub const HIST_BUCKETS: usize = 65;
-
-/// A lock-free log₂-bucketed histogram with a static handle.
-///
-/// Records are relaxed RMWs on fixed atomic cells; quantiles are
-/// answered from the bucket upper bounds (within 2x of the true
-/// value, which is plenty for "did the per-instant wall time move").
-#[derive(Debug)]
-pub struct Histogram {
-    name: &'static str,
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Histogram {
-    /// A zeroed histogram (const — usable in statics).
-    pub const fn new(name: &'static str) -> Histogram {
-        Histogram {
-            name,
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Record `v` if telemetry is enabled.
-    #[inline(always)]
-    pub fn record(&self, v: u64) {
-        if enabled() {
-            self.raw_record(v);
-        }
-    }
-
-    /// Unconditional record — for loops that hoisted the [`enabled`]
-    /// check.
-    #[inline]
-    pub fn raw_record(&self, v: u64) {
-        let b = (u64::BITS - v.leading_zeros()) as usize;
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Start a timer that records elapsed nanoseconds on drop; `None`
-    /// when telemetry is disabled (so the clock is never read).
-    #[inline]
-    pub fn start_timer(&self) -> Option<TimerGuard<'_>> {
-        enabled().then(|| TimerGuard {
-            hist: self,
-            t0: Instant::now(),
-        })
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Upper bound of the bucket containing quantile `q` in `[0, 1]`
-    /// (0 when empty).
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return if i == 0 {
-                    0
-                } else {
-                    (1u64 << i).wrapping_sub(1)
-                };
-            }
-        }
-        self.max()
-    }
-
-    /// Reset every cell to zero.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Records elapsed wall time (ns) into a [`Histogram`] when dropped.
-pub struct TimerGuard<'h> {
-    hist: &'h Histogram,
-    t0: Instant,
-}
-
-impl Drop for TimerGuard<'_> {
-    fn drop(&mut self) {
-        self.hist.raw_record(self.t0.elapsed().as_nanos() as u64);
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{FLEET_FAILED, SIM_INSTANT_NS};
 
-    // Process-global state (ENABLED) is shared across test threads;
-    // serialize the tests that flip it.
+    // Process-global state (ENABLED, the registry) is shared across
+    // test threads; serialize the tests that flip or read it.
     pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     pub(crate) fn locked() -> std::sync::MutexGuard<'static, ()> {
@@ -292,23 +135,22 @@ mod tests {
     fn disabled_counter_does_not_move() {
         let _g = locked();
         set_enabled(false);
-        static C: Counter = Counter::new("test.disabled");
-        C.add(5);
-        C.incr();
-        assert_eq!(C.get(), 0);
+        FLEET_FAILED.reset();
+        FLEET_FAILED.add(5);
+        FLEET_FAILED.incr();
+        assert_eq!(FLEET_FAILED.get(), 0);
     }
 
     #[test]
     fn enabled_counter_counts_and_resets() {
         let _g = locked();
         set_enabled(true);
-        static C: Counter = Counter::new("test.enabled");
-        C.reset();
-        C.add(5);
-        C.incr();
-        assert_eq!(C.get(), 6);
-        C.reset();
-        assert_eq!(C.get(), 0);
+        FLEET_FAILED.reset();
+        FLEET_FAILED.add(5);
+        FLEET_FAILED.incr();
+        assert_eq!(FLEET_FAILED.get(), 6);
+        FLEET_FAILED.reset();
+        assert_eq!(FLEET_FAILED.get(), 0);
         set_enabled(false);
     }
 
@@ -316,32 +158,21 @@ mod tests {
     fn histogram_buckets_and_quantiles() {
         let _g = locked();
         set_enabled(true);
-        static H: Histogram = Histogram::new("test.hist");
-        H.reset();
+        SIM_INSTANT_NS.reset();
+        let mut p = Probe::new();
         for v in [0u64, 1, 2, 3, 100, 1000] {
-            H.record(v);
+            p.record(SIM_INSTANT_NS, v);
         }
-        assert_eq!(H.count(), 6);
-        assert_eq!(H.sum(), 1106);
-        assert_eq!(H.max(), 1000);
-        assert_eq!(H.quantile(0.0), 0);
+        p.flush();
+        assert_eq!(SIM_INSTANT_NS.count(), 6);
+        assert_eq!(SIM_INSTANT_NS.sum(), 1106);
+        assert_eq!(SIM_INSTANT_NS.max(), 1000);
+        assert_eq!(SIM_INSTANT_NS.quantile(0.0), 0);
         // p50 lands in the bucket of 2..=3.
-        assert_eq!(H.quantile(0.5), 3);
-        assert!(H.quantile(1.0) >= 1000);
-        H.reset();
-        assert_eq!(H.quantile(0.5), 0);
+        assert_eq!(SIM_INSTANT_NS.quantile(0.5), 3);
+        assert!(SIM_INSTANT_NS.quantile(1.0) >= 1000);
+        SIM_INSTANT_NS.reset();
+        assert_eq!(SIM_INSTANT_NS.quantile(0.5), 0);
         set_enabled(false);
-    }
-
-    #[test]
-    fn timer_guard_records_on_drop() {
-        let _g = locked();
-        set_enabled(true);
-        static H: Histogram = Histogram::new("test.timer");
-        H.reset();
-        drop(H.start_timer());
-        assert_eq!(H.count(), 1);
-        set_enabled(false);
-        assert!(H.start_timer().is_none());
     }
 }

@@ -12,6 +12,7 @@
 use crate::json::ObjBuilder;
 use crate::schema::SCHEMA_VERSION;
 use crate::sink;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -19,19 +20,23 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// Monotonic run sequence within the process.
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Sequence number of the current run (0 = no run open; events emitted
-/// outside a run carry sequence 0).
-static CURRENT_RUN: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Sequence number of the run open on this thread (0 = none;
+    /// events emitted outside a run carry sequence 0). Per thread, so
+    /// fleet shards running sessions side by side stamp each line
+    /// with its own session's run.
+    static CURRENT_RUN: Cell<u64> = const { Cell::new(0) };
 
-/// Fleet session id of the run currently open (0 outside a fleet).
-/// Best-effort attribution for emitters that have no session handle
-/// of their own (e.g. the degradation ladder in `ecl-faults`).
-static CURRENT_SESSION: AtomicU64 = AtomicU64::new(0);
+    /// Fleet session id of the run open on this thread (0 outside a
+    /// fleet). Attribution for emitters that have no session handle of
+    /// their own (e.g. the degradation ladder in `ecl-faults`).
+    static CURRENT_SESSION: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The fleet session id stamped by the most recent
-/// [`Run::start_session`] (0 outside a fleet).
+/// The fleet session id of the run open on this thread (0 outside a
+/// fleet).
 pub fn current_session() -> u64 {
-    CURRENT_SESSION.load(Ordering::Relaxed)
+    CURRENT_SESSION.with(Cell::get)
 }
 
 /// Process-unique run-id prefix: pid + epoch seconds at first use.
@@ -45,9 +50,10 @@ fn run_prefix() -> &'static str {
     })
 }
 
-/// The correlation id events are stamped with right now.
+/// The correlation id events emitted on this thread are stamped with
+/// right now.
 pub fn current_run_id() -> String {
-    format!("r{}-{}", run_prefix(), CURRENT_RUN.load(Ordering::Relaxed))
+    format!("r{}-{}", run_prefix(), CURRENT_RUN.with(Cell::get))
 }
 
 /// Milliseconds since the UNIX epoch, as an f64 (µs resolution after
@@ -150,15 +156,18 @@ pub struct RunCoverage {
 }
 
 /// One bracketed simulation run. Construct with [`Run::start`] (emits
-/// `run_start` and claims the correlation id), close with [`Run::end`]
-/// (emits `run_end` with wall time and throughput, then flushes the
-/// sink).
+/// `run_start` and claims the correlation id on this thread), close
+/// with [`Run::end`] on the same thread (emits `run_end` with wall
+/// time and throughput, hands the thread back to the enclosing run,
+/// then flushes the sink).
 pub struct Run {
     design: String,
     config: String,
     t0: Instant,
     seq: u64,
     session: u64,
+    /// The run and session this one displaced on its thread.
+    outer: (u64, u64),
 }
 
 impl Run {
@@ -171,11 +180,14 @@ impl Run {
 
     /// Open a run attributed to fleet session `session`: the
     /// `run_start`/`run_end` bracket carries the id, and
-    /// [`current_session`] reports it until the run closes.
+    /// [`current_session`] reports it on this thread until the run
+    /// closes.
     pub fn start_session(design: &str, config: &str, session: u64) -> Run {
         let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-        CURRENT_RUN.store(seq, Ordering::Relaxed);
-        CURRENT_SESSION.store(session, Ordering::Relaxed);
+        let outer = (
+            CURRENT_RUN.with(|c| c.replace(seq)),
+            CURRENT_SESSION.with(|c| c.replace(session)),
+        );
         if let Some(e) = event("run_start") {
             e.str("design", design)
                 .str("config", config)
@@ -188,6 +200,7 @@ impl Run {
             t0: Instant::now(),
             seq,
             session,
+            outer,
         }
     }
 
@@ -232,8 +245,8 @@ impl Run {
             }
             e.emit();
         }
-        CURRENT_RUN.store(0, Ordering::Relaxed);
-        CURRENT_SESSION.store(0, Ordering::Relaxed);
+        CURRENT_RUN.with(|c| c.set(self.outer.0));
+        CURRENT_SESSION.with(|c| c.set(self.outer.1));
         sink::flush();
     }
 }
@@ -285,5 +298,35 @@ mod tests {
         let end = crate::schema::parse(&lines[1]).unwrap();
         assert_eq!(end.get("event").and_then(|v| v.as_str()), Some("run_end"));
         assert_eq!(end.get("instants").and_then(|v| v.as_u64()), Some(10));
+    }
+
+    #[test]
+    fn runs_are_per_thread_and_nest() {
+        let _g = crate::tests::locked();
+        let outer = Run::start_session("d", "c", 1);
+        let outer_id = outer.id();
+        assert_eq!(current_run_id(), outer_id);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(current_session(), 0, "a new thread starts idle");
+                let other = Run::start_session("d", "c", 2);
+                assert_eq!(current_session(), 2);
+                assert_eq!(current_run_id(), other.id());
+                other.end(0);
+            });
+        });
+        assert_eq!(current_session(), 1, "another thread's run left ours alone");
+        assert_eq!(current_run_id(), outer_id);
+        let nested = Run::start("d", "c");
+        assert_eq!(current_session(), 0);
+        nested.end(0);
+        assert_eq!(
+            current_run_id(),
+            outer_id,
+            "closing a nested run restores the outer"
+        );
+        assert_eq!(current_session(), 1);
+        outer.end(0);
+        assert_eq!(current_session(), 0);
     }
 }

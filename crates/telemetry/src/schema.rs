@@ -307,9 +307,88 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks, line by line in stream order, that session-stamped lines
+/// are attributed to their own session's run: while a session's run
+/// is open (from its `run_start` to its `run_end`), every line
+/// carrying that non-zero `session` must carry the `run_id` its
+/// `run_start` did. Lines of sessions with no open run (e.g. an
+/// admission refusal) are not checked.
+#[derive(Debug, Default)]
+pub struct SessionAttribution {
+    /// Session id → the run id of its open `run_start`.
+    open: std::collections::HashMap<u64, String>,
+}
+
+impl SessionAttribution {
+    /// A checker with no run open.
+    pub fn new() -> SessionAttribution {
+        SessionAttribution::default()
+    }
+
+    /// Check one parsed line (in stream order).
+    pub fn check(&mut self, line: &Json) -> Result<(), String> {
+        let Some(session) = line.get("session").and_then(Json::as_u64) else {
+            return Ok(());
+        };
+        let (Some(run_id), Some(event)) = (
+            line.get("run_id").and_then(Json::as_str),
+            line.get("event").and_then(Json::as_str),
+        ) else {
+            return Ok(());
+        };
+        if session == 0 {
+            return Ok(());
+        }
+        if event == "run_start" {
+            self.open.insert(session, run_id.to_string());
+            return Ok(());
+        }
+        if let Some(owner) = self.open.get(&session) {
+            if owner != run_id {
+                return Err(format!(
+                    "session {session}: '{event}' line carries run_id {run_id}, \
+                     but the session's run_start carried {owner}"
+                ));
+            }
+        }
+        if event == "run_end" {
+            self.open.remove(&session);
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn attribution_rejects_another_sessions_run_id() {
+        let lines = [
+            r#"{"run_id":"r-1","event":"run_start","session":1}"#,
+            r#"{"run_id":"r-2","event":"run_start","session":2}"#,
+            r#"{"run_id":"r-1","event":"span","session":1}"#,
+            r#"{"run_id":"r-0","event":"events_lost","session":9}"#,
+            r#"{"run_id":"r-2","event":"run_end","session":2}"#,
+        ];
+        let mut a = SessionAttribution::new();
+        for l in lines {
+            a.check(&parse(l).unwrap()).unwrap();
+        }
+        // Session 1 is still open: a line stamped with another run's
+        // id (or the idle id) is misattributed.
+        for bad in [
+            r#"{"run_id":"r-2","event":"verdict","session":1}"#,
+            r#"{"run_id":"r-0","event":"error","session":1}"#,
+        ] {
+            assert!(a.check(&parse(bad).unwrap()).is_err(), "{bad}");
+        }
+        // Session 2 closed: its id may be reused by a later run.
+        a.check(&parse(r#"{"run_id":"r-3","event":"run_start","session":2}"#).unwrap())
+            .unwrap();
+        a.check(&parse(r#"{"run_id":"r-3","event":"span","session":2}"#).unwrap())
+            .unwrap();
+    }
 
     #[test]
     fn parses_nested_values() {

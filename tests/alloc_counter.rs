@@ -14,10 +14,11 @@
 //!   and valued emits run register-to-slot with zero heap traffic —
 //!   unlike the tree-walker, which clones a `Value` per signal read.
 //! * the same relay with telemetry *enabled* pins the instrumentation
-//!   down: counters and histograms are preallocated atomics, so the
-//!   steady state stays at zero allocations — heap traffic happens
-//!   only when a span line renders into the sink, which the test
-//!   keeps out of the measured window (`set_span_every(0)`).
+//!   down: the runner's probe is plain counters and histogram
+//!   buckets allocated during warm-up, so the steady state stays at
+//!   zero allocations — heap traffic happens only when a span line renders
+//!   into the sink, which the test keeps out of the measured window
+//!   (`set_span_every(0)`).
 //!
 //! The telemetry master switch is process-global, so the tests
 //! serialize on a mutex and each pins the switch to the state it
@@ -213,8 +214,9 @@ fn telemetry_enabled_steady_state_is_allocation_free() {
     let _g = locked();
     // Full instrumentation: master switch on, a sink installed —
     // but span summaries off, so nothing renders a line inside the
-    // measured window. Counters and histograms are static atomics;
-    // bumping them must not touch the heap.
+    // measured window. The runner counts into its probe, whose
+    // histograms were allocated by the warm-up; that must not touch
+    // the heap.
     ecl_telemetry::set_enabled(true);
     ecl_telemetry::set_span_every(0);
     let sink = ecl_telemetry::MemorySink::new();
@@ -243,6 +245,9 @@ fn telemetry_enabled_steady_state_is_allocation_free() {
         runner.instant_ids(ev, &mut out).unwrap();
     }
     let after = my_allocs();
+    // Driving `instant_ids` directly, the caller owns the flush
+    // boundary (outside the measured window).
+    runner.flush_telemetry();
 
     // Restore the global default before asserting, so a failure here
     // cannot leak an enabled switch into an unrelated test.

@@ -432,7 +432,14 @@ fn check_fused_vs_walker(src: &str, seeds: u64) -> Result<(), TestCaseError> {
             }
             let mut e_f = Vec::new();
             let mut e_w = Vec::new();
-            let r_f = compiled.step_table(&machine, st_f, &bits, &mut rt_f, &mut e_f);
+            let r_f = compiled.step_table(
+                &machine,
+                st_f,
+                &bits,
+                &mut rt_f,
+                &mut e_f,
+                &mut ecl_telemetry::Probe::new(),
+            );
             let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
             st_f = r_f.next;
             st_w = r_w.next;
@@ -716,7 +723,14 @@ fn check_table_vs_sgraph(src: &str, seeds: u64) -> Result<(), TestCaseError> {
             let mut e_w = Vec::new();
             let mut e_t = Vec::new();
             let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
-            let r_t = compiled.step_table(&machine, st_t, &bits, &mut rt_t, &mut e_t);
+            let r_t = compiled.step_table(
+                &machine,
+                st_t,
+                &bits,
+                &mut rt_t,
+                &mut e_t,
+                &mut ecl_telemetry::Probe::new(),
+            );
             prop_assert_eq!(
                 e_w,
                 e_t,

@@ -140,6 +140,38 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
     );
     assert_eq!(fleet.health.finished, 2, "{:?}", fleet.health);
 
+    // Forty sessions on two shards, side by side: corrupted packets
+    // make every session latch a `verdict` line, and a plan demoting
+    // every VM hook makes each one emit `error` lines from inside the
+    // data path — lines whose only session handle is the per-thread
+    // attribution of the run open on that shard.
+    ecl_faults::install(ecl_faults::FaultPlan {
+        vm_fault: 1.0,
+        ..ecl_faults::FaultPlan::seeded(7)
+    });
+    let corrupted = std::sync::Arc::new(corrupted);
+    let sup2 = ecl_fleet::Supervisor::new(
+        vec![design.clone()],
+        &Default::default(),
+        ecl_fleet::FleetConfig {
+            shards: 2,
+            ..Default::default()
+        },
+    )
+    .expect("fleet compiles");
+    let fleet2 = sup2.run(
+        SHARDED
+            .map(|id| ecl_fleet::SessionSpec {
+                id,
+                events: std::sync::Arc::clone(&corrupted),
+                specs: specs.clone(),
+                trace_capacity: None,
+            })
+            .collect(),
+    );
+    ecl_faults::uninstall().expect("plan was installed");
+    assert_eq!(fleet2.health.finished, 40, "{:?}", fleet2.health);
+
     ecl_telemetry::sink::flush();
     let lines = sink.lines();
     uninstall_sink();
@@ -203,6 +235,50 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
         }
     }
     assert_eq!(starts, ends, "unbalanced run brackets");
-    assert_eq!(starts.len(), 5, "3 solo runs + 2 fleet sessions");
-    assert_eq!(fleet_sessions, [1, 2].into_iter().collect());
+    assert_eq!(starts.len(), 45, "3 solo runs + 2 + 40 fleet sessions");
+    assert_eq!(fleet_sessions, [1, 2].into_iter().chain(SHARDED).collect());
+
+    // Attribution across shards: every span, error and verdict line of
+    // a sharded session carries the run_id of that session's own
+    // run_start, and the stream passes the `check_telemetry` rule.
+    let mut owner = std::collections::BTreeMap::new();
+    let mut attributed = std::collections::BTreeMap::new();
+    let mut attribution = ecl_telemetry::schema::SessionAttribution::new();
+    for line in &lines {
+        let j = parse(line).unwrap();
+        attribution
+            .check(&j)
+            .unwrap_or_else(|e| panic!("{e}\n  {line}"));
+        let Some(session) = j.get("session").and_then(|v| v.as_u64()) else {
+            continue;
+        };
+        if !SHARDED.contains(&session) {
+            continue;
+        }
+        let id = j.get("run_id").unwrap().as_str().unwrap().to_string();
+        let kind = j.get("event").unwrap().as_str().unwrap();
+        match kind {
+            "run_start" => {
+                owner.insert(session, id);
+            }
+            "span" | "error" | "verdict" => {
+                assert_eq!(
+                    owner.get(&session),
+                    Some(&id),
+                    "session {session}: `{kind}` line attributed to another run\n  {line}"
+                );
+                *attributed.entry(kind.to_string()).or_insert(0u32) += 1;
+            }
+            _ => {}
+        }
+    }
+    for kind in ["span", "error", "verdict"] {
+        assert!(
+            attributed.get(kind).copied().unwrap_or(0) >= 40,
+            "too few sharded `{kind}` lines: {attributed:?}"
+        );
+    }
 }
+
+/// Session ids of the two-shard fleet.
+const SHARDED: std::ops::RangeInclusive<u64> = 101..=140;
