@@ -432,15 +432,11 @@ impl Workspace {
 /// Convert a caught job panic into an [`EclError`] (and a telemetry
 /// `error` event), keeping the payload message when it is a string.
 fn job_panic_error(name: &str, entry: &str, payload: &(dyn Any + Send)) -> EclError {
-    let what = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload");
+    let what = ecl_telemetry::panic_msg(payload);
     if let Some(e) = ecl_telemetry::event("error") {
         e.str("kind", "panic")
             .str("job", name)
-            .str("msg", what)
+            .str("msg", &what)
             .emit();
     }
     EclError::msg(

@@ -445,6 +445,9 @@ impl Supervisor {
                 .u64("restarts", health.restarts)
                 .emit();
         }
+        // The last line of a fleet run: flush it now rather than at
+        // the next run's end, which may never come.
+        ecl_telemetry::sink::flush();
 
         FleetReport {
             sessions: reports
@@ -453,17 +456,6 @@ impl Supervisor {
                 .collect(),
             health,
         }
-    }
-}
-
-/// Extract a printable message from a caught panic payload.
-fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
     }
 }
 
@@ -520,14 +512,13 @@ fn drive_session(
     tm::FLEET_CHECKPOINTS.incr();
 
     let mut restarts = 0u32;
-    let mut attempt = 0u32;
     let mut backoff_total = 0u64;
 
     // One iteration = one quantum (`checkpoint_every` instants) under
     // a panic guard. The runner lives *outside* the guard so the
     // outcome path can still flush loss accounting and restore state
     // after a caught panic.
-    loop {
+    let (status, error) = loop {
         if let Some(ms) = ecl_faults::shard_stall(shard, *quantum_seq) {
             std::thread::sleep(Duration::from_millis(ms));
         }
@@ -546,26 +537,8 @@ fn drive_session(
         // monitors' too, in the thread's probe) reach the shared
         // registry here, whatever the outcome.
         runner.flush_telemetry();
-        match res {
-            Ok(Ok(Step::Done)) => {
-                runner.emit_losses();
-                let report = MonitorReport::conclude(monitors);
-                let instants = runner.now();
-                run.end(instants);
-                return SessionReport {
-                    id: spec.id,
-                    status: SessionStatus::Finished,
-                    report: Some(report),
-                    trace: runner.take_trace(),
-                    counts: runner.counts(),
-                    events_lost: runner.kernel().events_lost,
-                    instants,
-                    restarts,
-                    backoff_ticks: backoff_total,
-                    pressure,
-                    error: None,
-                };
-            }
+        let failure = match res {
+            Ok(Ok(Step::Done)) => break (SessionStatus::Finished, None),
             Ok(Ok(Step::More)) => {
                 // Quantum boundary: the runner is quiescent, so the
                 // snapshot cannot be torn.
@@ -577,60 +550,17 @@ fn drive_session(
                     };
                     tm::FLEET_CHECKPOINTS.incr();
                 }
+                continue;
             }
-            Ok(Err(e)) if e.kind.is_inconclusive() || e.kind == SimErrorKind::Poisoned => {
-                runner.emit_losses();
-                attempt += 1;
-                if attempt > cfg.restart.max_retries {
-                    return escalate(
-                        runner,
-                        monitors,
-                        run,
-                        &spec,
-                        &e.msg,
-                        restarts,
-                        backoff_total,
-                        pressure,
-                    );
-                }
-                restart(
-                    &mut runner,
-                    &mut monitors,
-                    &mut cursor,
-                    &ckpt,
-                    &cfg.restart,
-                    spec.id,
-                    attempt,
-                    &mut restarts,
-                    &mut backoff_total,
-                );
-            }
-            Ok(Err(e)) => {
-                // Definite error: not restartable (replaying the same
-                // inputs re-derives the same failure).
-                runner.emit_losses();
-                let instants = runner.now();
-                run.end(instants);
-                return SessionReport {
-                    id: spec.id,
-                    status: SessionStatus::Errored,
-                    report: None,
-                    trace: runner.take_trace(),
-                    counts: runner.counts(),
-                    events_lost: runner.kernel().events_lost,
-                    instants,
-                    restarts,
-                    backoff_ticks: backoff_total,
-                    pressure,
-                    error: Some(e.msg),
-                };
-            }
+            Ok(Err(e)) if e.kind.is_inconclusive() || e.kind == SimErrorKind::Poisoned => e.msg,
+            // Definite error: not restartable (replaying the same
+            // inputs re-derives the same failure).
+            Ok(Err(e)) => break (SessionStatus::Errored, Some(e.msg)),
             Err(p) => {
                 // A panic mid-quantum: the runner may be torn
-                // (poisoning latch set). Flush losses from the
-                // supervisor side — the in-run bracket never got to —
-                // then restore or escalate.
-                let msg = panic_msg(p);
+                // (poisoning latch set) and the in-run error
+                // accounting never ran, so report it from here.
+                let msg = ecl_telemetry::panic_msg(p.as_ref());
                 tm::SIM_POISONED_SESSIONS.incr();
                 if let Some(e) = ecl_telemetry::event("error") {
                     e.u64("instant", runner.now())
@@ -639,99 +569,63 @@ fn drive_session(
                         .str("msg", &msg)
                         .emit();
                 }
-                runner.emit_losses();
-                attempt += 1;
-                if attempt > cfg.restart.max_retries {
-                    return escalate(
-                        runner,
-                        monitors,
-                        run,
-                        &spec,
-                        &msg,
-                        restarts,
-                        backoff_total,
-                        pressure,
-                    );
-                }
-                restart(
-                    &mut runner,
-                    &mut monitors,
-                    &mut cursor,
-                    &ckpt,
-                    &cfg.restart,
-                    spec.id,
-                    attempt,
-                    &mut restarts,
-                    &mut backoff_total,
-                );
+                msg
             }
+        };
+        // A restartable failure: restore the last checkpoint after a
+        // seeded backoff, or escalate once the budget is spent.
+        if restarts >= cfg.restart.max_retries {
+            tm::FLEET_FAILED.incr();
+            break (SessionStatus::Failed, Some(failure));
         }
-    }
-}
+        runner.emit_losses();
+        restarts += 1;
+        let ticks = cfg.restart.backoff_ticks(spec.id, restarts);
+        backoff_total += ticks;
+        std::thread::sleep(Duration::from_micros(ticks));
+        runner
+            .restore(&ckpt.snap)
+            .expect("restore into the runner the snapshot came from");
+        monitors = ckpt.monitors.clone();
+        cursor = ckpt.cursor;
+        tm::FLEET_RESTARTS.incr();
+    };
 
-/// Restore the last checkpoint after a seeded backoff sleep.
-#[allow(clippy::too_many_arguments)]
-fn restart(
-    runner: &mut AsyncRunner,
-    monitors: &mut Vec<Monitor>,
-    cursor: &mut usize,
-    ckpt: &SessionCkpt,
-    policy: &RestartPolicy,
-    session: u64,
-    attempt: u32,
-    restarts: &mut u32,
-    backoff_total: &mut u64,
-) {
-    let ticks = policy.backoff_ticks(session, attempt);
-    *backoff_total += ticks;
-    std::thread::sleep(Duration::from_micros(ticks));
-    runner
-        .restore(&ckpt.snap)
-        .expect("restore into the runner the snapshot came from");
-    *monitors = ckpt.monitors.clone();
-    *cursor = ckpt.cursor;
-    *restarts += 1;
-    tm::FLEET_RESTARTS.incr();
-}
-
-/// The restart budget is spent: conclude what the monitors can still
-/// say (`Inconclusive`, never `Pass`) and mark the session `Failed`.
-#[allow(clippy::too_many_arguments)]
-fn escalate(
-    mut runner: AsyncRunner,
-    monitors: Vec<Monitor>,
-    run: ecl_telemetry::Run,
-    spec: &SessionSpec,
-    msg: &str,
-    restarts: u32,
-    backoff_ticks: u64,
-    pressure: Pressure,
-) -> SessionReport {
-    tm::FLEET_FAILED.incr();
+    // Loss accounting survives every outcome, even when the in-run
+    // bracket never ran. A failed session concludes what its monitors
+    // can still say (`Inconclusive`, never `Pass`).
+    runner.emit_losses();
     let instants = runner.now();
-    let report = MonitorReport::conclude_inconclusive(monitors, instants, msg);
+    let report = match (status, &error) {
+        (SessionStatus::Finished, _) => Some(MonitorReport::conclude(monitors)),
+        (SessionStatus::Failed, Some(msg)) => Some(MonitorReport::conclude_inconclusive(
+            monitors, instants, msg,
+        )),
+        _ => None,
+    };
     run.end(instants);
     SessionReport {
         id: spec.id,
-        status: SessionStatus::Failed,
-        report: Some(report),
+        status,
+        report,
         trace: runner.take_trace(),
         counts: runner.counts(),
         events_lost: runner.kernel().events_lost,
         instants,
         restarts,
-        backoff_ticks,
+        backoff_ticks: backoff_total,
         pressure,
-        error: Some(msg.to_string()),
+        error,
     }
 }
 
 /// Drive up to `checkpoint_every` instants (the whole remaining
-/// stream when 0). Mirrors `Runner::run_events`' id fast path, plus
-/// the fleet's degradation hooks: the `kill_due` fault site panics at
-/// its chosen instant boundary, span summaries are shed at
-/// [`Pressure::ShedSpans`], and monitors run on a stride at
-/// [`Pressure::SampleMonitors`].
+/// stream when 0) through [`Runner::step_event`], the step
+/// `Runner::run_events` takes, plus the fleet's degradation hooks: the
+/// `kill_due` fault site panics at its chosen instant boundary, span
+/// summaries are shed at [`Pressure::ShedSpans`], and monitors run on
+/// a stride at [`Pressure::SampleMonitors`]. Instants are not timed:
+/// the fleet reads no clock per instant.
 fn run_quantum(
     runner: &mut AsyncRunner,
     monitors: &mut [Monitor],
@@ -754,7 +648,7 @@ fn run_quantum(
     let span_from = runner.now();
     let span_t0 = spans.then(std::time::Instant::now);
 
-    let mut ev_bits = BitSet::new();
+    let mut stimuli = BitSet::new();
     let mut present = BitSet::new();
     let mut in_quantum = 0usize;
     while *cursor < spec.events.len() && in_quantum < quantum {
@@ -765,22 +659,7 @@ fn run_quantum(
                 spec.id
             );
         }
-        let ev = &spec.events[*cursor];
-        ev_bits.clear();
-        for (name, v) in &ev.valued {
-            let Some(id) = runner.sig_table().lookup(name) else {
-                return Err(SimError::eval(format!("no task reads signal `{name}`")));
-            };
-            runner.set_input_i64_id(id, *v)?;
-            ev_bits.insert(id.bit());
-        }
-        for name in ev.pure.iter() {
-            if let Some(id) = runner.sig_table().lookup(name) {
-                ev_bits.insert(id.bit());
-            }
-        }
-        runner.instant_ids(&ev_bits, &mut present)?;
-        present.union_with(&ev_bits);
+        runner.step_event(&spec.events[*cursor], &mut stimuli, &mut present, false)?;
         if instant.is_multiple_of(stride) {
             for m in monitors.iter_mut() {
                 m.step_ids(instant, &present, runner.sig_table());
@@ -798,7 +677,7 @@ fn run_quantum(
             e.u64("from", span_from)
                 .u64("to", runner.now())
                 .u64("window_ns", window_ns)
-                .u64("session", runner.session())
+                .u64("session", runner.session_id())
                 .emit();
         }
     }

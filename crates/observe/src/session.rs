@@ -54,16 +54,6 @@ impl SessionOutcome {
     }
 }
 
-/// Extract a printable message from a panic payload.
-fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
-        .to_string()
-}
-
 /// Run one checking session with panic isolation. A panic inside `f`
 /// is caught at this boundary: it bumps `sim.poisoned_sessions`,
 /// emits a telemetry `error` event (kind `panic`) and returns
@@ -76,7 +66,7 @@ where
         Ok(Ok(run)) => SessionOutcome::Finished(run),
         Ok(Err(e)) => SessionOutcome::Error(e),
         Err(p) => {
-            let msg = panic_msg(p.as_ref());
+            let msg = ecl_telemetry::panic_msg(p.as_ref());
             tm::SIM_POISONED_SESSIONS.incr();
             if let Some(e) = ecl_telemetry::event("error") {
                 e.str("kind", "panic")

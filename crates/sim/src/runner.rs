@@ -16,6 +16,11 @@
 //! [`InstantEvents`] stream and hands the per-instant [`Present`] set
 //! to a callback — the attachment point for online monitors
 //! (`ecl-observe`).
+//!
+//! Everything about an instant except the reaction itself — counts,
+//! trace, watchdog, poison latch, external fault sites and the
+//! per-instant fuel budget — is one [`InstantHarness`] both runners
+//! embed; each runner supplies only its reaction step.
 
 use crate::tb::InstantEvents;
 use crate::trace::{Recorder, Trace};
@@ -23,6 +28,7 @@ use codegen::cost::CostParams;
 use ecl_core::{Design, Rt};
 use ecl_telemetry::metrics as tm;
 use ecl_telemetry::Probe;
+use ecl_types::interp::DEFAULT_FUEL;
 use efsm::{Backend, BitSet, CompiledEfsm, DataHooks, Efsm, SigId, SigTable, Signal, StateId};
 use esterel::compile::CompileOptions;
 use rtk::{Kernel, KernelParams, KernelTotals, TaskId};
@@ -280,11 +286,13 @@ impl CoverageReport {
 
 /// The common driving surface of both runners.
 ///
-/// Trace recording and emission accounting are implemented here once,
-/// as default methods over the two slot accessors ([`Runner::trace_slot`]
-/// / [`Runner::counts_slot`]) — runners only expose their [`Recorder`]
-/// and count array.
-pub trait Runner {
+/// What every instant shares across runners — emission counts, trace
+/// recording, the watchdog, the poison latch, fault-adjusted stimuli,
+/// the fuel budget and the name shim — lives in one [`InstantHarness`]
+/// that each runner embeds, and the default methods here read it. A
+/// runner supplies only its reaction step (a sealed trait: the two
+/// runners of this module are its only implementors).
+pub trait Runner: sealed::ReactionStep {
     /// Choose the execution backend — [`Backend::Compiled`] (the
     /// default) runs fused per-task programs (mask-scan rows falling
     /// through into bytecode), [`Backend::Walker`] forces the
@@ -299,32 +307,54 @@ pub trait Runner {
     /// Compiled-backend coverage, per task.
     fn coverage(&self) -> CoverageReport;
 
+    /// Set a valued external input by interned id (the fast path of
+    /// [`Runner::set_input_i64`]).
+    ///
+    /// # Errors
+    ///
+    /// Unknown or pure signal.
+    fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError>;
+
+    /// Flush every probe the runner owns into the process-wide
+    /// registry (see [`Probe::flush`]), and the calling thread's probe,
+    /// where monitors stepped beside the runner count
+    /// ([`ecl_telemetry::with_thread_probe`]). [`Runner::run_events`] calls
+    /// this at each span line and when it returns; callers that drive
+    /// [`Runner::instant_ids`] themselves call it at their own
+    /// boundaries. Dropping a runner flushes too.
+    fn flush_telemetry(&mut self);
+
+    /// Flush loss accounting to telemetry (an `events_lost` event per
+    /// task with a non-zero count). A no-op for runners without a
+    /// kernel; [`AsyncRunner`] reports mailbox-overwrite losses.
+    /// Called from the `run_events` brackets on both the success and
+    /// the error path so losses never silently vanish from a stream.
+    fn emit_losses(&self) {}
+
     /// The design-wide signal interner (built once at construction).
-    fn sig_table(&self) -> &Arc<SigTable>;
-
-    /// The runner's trace recorder.
-    fn trace_slot(&self) -> &Recorder;
-
-    /// The runner's trace recorder, mutably.
-    fn trace_slot_mut(&mut self) -> &mut Recorder;
+    fn sig_table(&self) -> &Arc<SigTable> {
+        &self.harness().table
+    }
 
     /// Emission counts indexed by interned [`SigId`] bit.
-    fn counts_slot(&self) -> &[u64];
+    fn counts_slot(&self) -> &[u64] {
+        &self.harness().state.counts
+    }
 
     /// Start recording a signal trace retaining the last `capacity`
     /// instants (0 = unbounded).
     fn enable_trace(&mut self, capacity: usize) {
-        self.trace_slot_mut().enable(capacity);
+        self.harness_mut().state.recorder.enable(capacity);
     }
 
     /// The recorded trace so far, if tracing is enabled.
     fn recorded_trace(&self) -> Option<&Trace> {
-        self.trace_slot().current()
+        self.harness().state.recorder.current()
     }
 
     /// Detach and return the recorded trace (tracing stops).
     fn take_trace(&mut self) -> Option<Trace> {
-        self.trace_slot_mut().take()
+        self.harness_mut().state.recorder.take()
     }
 
     /// Emission count of one signal.
@@ -345,14 +375,6 @@ pub trait Runner {
             .collect()
     }
 
-    /// Set a valued external input by interned id (the fast path of
-    /// [`Runner::set_input_i64`]).
-    ///
-    /// # Errors
-    ///
-    /// Unknown or pure signal.
-    fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError>;
-
     /// Set a valued external input (the testbench side of `emit_v`).
     ///
     /// # Errors
@@ -371,10 +393,19 @@ pub trait Runner {
     /// touches the heap here (scratch buffers are reused across
     /// instants).
     ///
+    /// With a fault plan installed, the external drop/delay sites are
+    /// applied (keyed by `(instant, signal)`, identically on both
+    /// runners), and a panic that unwinds through the instant latches
+    /// the poisoned flag: further instants are refused with
+    /// [`SimErrorKind::Poisoned`] instead of running on torn state.
+    ///
     /// # Errors
     ///
-    /// Propagates reaction and data-evaluation failures.
-    fn instant_ids(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError>;
+    /// Propagates reaction and data-evaluation failures; trips the
+    /// watchdog budgets, if set.
+    fn instant_ids(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
+        InstantHarness::run(self, events, out)
+    }
 
     /// Run one environment instant; returns the emitted names in
     /// delivery order. Compatibility shim over [`Runner::instant_ids`]
@@ -383,37 +414,102 @@ pub trait Runner {
     /// # Errors
     ///
     /// Propagates reaction and data-evaluation failures.
-    fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError>;
-
-    /// The next environment instant number.
-    fn now(&self) -> u64;
-
-    /// The fleet session id telemetry `error` lines carry (0 for
-    /// runners outside a fleet — see [`AsyncRunner::set_session`]).
-    fn session_id(&self) -> u64 {
-        0
+    fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
+        let ev: BitSet = events
+            .iter()
+            .filter_map(|n| self.sig_table().lookup(n))
+            .map(SigId::bit)
+            .collect();
+        let mut out = BitSet::new();
+        self.instant_ids(&ev, &mut out)?;
+        let h = self.harness();
+        Ok(h.order
+            .iter()
+            .map(|id| h.table.name(*id).to_string())
+            .collect())
     }
 
-    /// Flush loss accounting to telemetry (an `events_lost` event per
-    /// task with a non-zero count). A no-op for runners without a
-    /// kernel; [`AsyncRunner`] reports mailbox-overwrite losses.
-    /// Called from the `run_events` brackets on both the success and
-    /// the error path so losses never silently vanish from a stream.
-    fn emit_losses(&self) {}
+    /// The next environment instant number.
+    fn now(&self) -> u64 {
+        self.harness().state.instant
+    }
 
-    /// The runner's telemetry probe: the per-instant counts
-    /// [`Runner::run_events`] keeps (instants, errors, instant wall
-    /// time) land here next to the runner's own.
-    fn probe_mut(&mut self) -> &mut Probe;
+    /// Tag this runner with a fleet session id — carried on its
+    /// telemetry `error` lines (and by the supervisor's `run_*`
+    /// events) so fleet JSONL streams are attributable per session.
+    fn set_session(&mut self, session: u64) {
+        self.harness_mut().state.session = session;
+    }
 
-    /// Flush every probe the runner owns into the process-wide
-    /// registry (see [`Probe::flush`]), and the calling thread's probe,
-    /// where monitors stepped beside the runner count
-    /// ([`ecl_telemetry::with_thread_probe`]). [`Runner::run_events`] calls
-    /// this at each span line and when it returns; callers that drive
-    /// [`Runner::instant_ids`] themselves call it at their own
-    /// boundaries. Dropping a runner flushes too.
-    fn flush_telemetry(&mut self);
+    /// The session id telemetry `error` lines carry (0 outside a
+    /// fleet).
+    fn session_id(&self) -> u64 {
+        self.harness().state.session
+    }
+
+    /// Install (or clear) the per-instant watchdog budgets.
+    fn set_watchdog(&mut self, wd: Option<WatchdogBudget>) {
+        self.harness_mut().state.watchdog = wd;
+    }
+
+    /// The active watchdog budgets, if any.
+    fn watchdog(&self) -> Option<WatchdogBudget> {
+        self.harness().state.watchdog
+    }
+
+    /// Did a panic unwind through an instant, leaving the runner
+    /// state torn? A poisoned runner refuses further instants.
+    fn is_poisoned(&self) -> bool {
+        self.harness().in_instant
+    }
+
+    /// Run one event of a stream on the id fast path — the step
+    /// [`Runner::run_events`] and the fleet's quanta share: bind `ev`'s
+    /// valued inputs, collect its stimuli into `stimuli`, run the
+    /// instant (timed into `sim.instant_ns` when `timed`) and count it.
+    /// On success `present` holds stimuli plus emissions and the
+    /// instant's number is returned. A failure counts in `sim.errors`
+    /// and is reported as a session-stamped `error` telemetry line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates input and reaction failures.
+    fn step_event(
+        &mut self,
+        ev: &InstantEvents,
+        stimuli: &mut BitSet,
+        present: &mut BitSet,
+        timed: bool,
+    ) -> Result<u64, SimError> {
+        let instant = self.now();
+        let r = bind_event(self, ev, stimuli).and_then(|()| {
+            let t0 = timed.then(std::time::Instant::now);
+            let r = self.instant_ids(stimuli, present);
+            let probe = &mut self.harness_mut().probe;
+            if let Some(t0) = t0 {
+                probe.record(tm::SIM_INSTANT_NS, t0.elapsed().as_nanos() as u64);
+            }
+            probe.add(tm::SIM_INSTANTS, 1);
+            r
+        });
+        match r {
+            Ok(()) => {
+                present.union_with(stimuli);
+                Ok(instant)
+            }
+            Err(e) => {
+                self.harness_mut().probe.add(tm::SIM_ERRORS, 1);
+                if let Some(ev) = ecl_telemetry::event("error") {
+                    ev.u64("instant", instant)
+                        .u64("session", self.session_id())
+                        .str("kind", e.kind.as_str())
+                        .str("msg", &e.msg)
+                        .emit();
+                }
+                Err(e)
+            }
+        }
+    }
 
     /// Testbench hook: drive a whole event stream, calling
     /// `on_instant` with the instant number and the [`Present`] set
@@ -429,7 +525,7 @@ pub trait Runner {
         Self: Sized,
         F: FnMut(u64, Present<'_>),
     {
-        let mut ev_bits = BitSet::new();
+        let mut stimuli = BitSet::new();
         let mut present = BitSet::new();
         // The clock is read only when collection is on (checked once
         // per call), and span bookkeeping is all locals (no allocation
@@ -440,44 +536,14 @@ pub trait Runner {
         let mut span_t0 = (span_every > 0).then(std::time::Instant::now);
         let mut in_window = 0u64;
         for ev in events {
-            ev_bits.clear();
-            for (name, v) in &ev.valued {
-                let Some(id) = self.sig_table().lookup(name) else {
-                    return err(format!("no task reads signal `{name}`"));
-                };
-                self.set_input_i64_id(id, *v)?;
-                ev_bits.insert(id.bit());
-            }
-            for name in ev.pure.iter() {
-                if let Some(id) = self.sig_table().lookup(name) {
-                    ev_bits.insert(id.bit());
+            let instant = match self.step_event(ev, &mut stimuli, &mut present, tel) {
+                Ok(instant) => instant,
+                Err(e) => {
+                    self.emit_losses();
+                    self.flush_telemetry();
+                    return Err(e);
                 }
-            }
-            let instant = self.now();
-            let r = if tel {
-                let t0 = std::time::Instant::now();
-                let r = self.instant_ids(&ev_bits, &mut present);
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.probe_mut().record(tm::SIM_INSTANT_NS, ns);
-                r
-            } else {
-                self.instant_ids(&ev_bits, &mut present)
             };
-            self.probe_mut().add(tm::SIM_INSTANTS, 1);
-            if let Err(e) = r {
-                self.probe_mut().add(tm::SIM_ERRORS, 1);
-                if let Some(ev) = ecl_telemetry::event("error") {
-                    ev.u64("instant", instant)
-                        .u64("session", self.session_id())
-                        .str("kind", e.kind.as_str())
-                        .str("msg", &e.msg)
-                        .emit();
-                }
-                self.emit_losses();
-                self.flush_telemetry();
-                return Err(e);
-            }
-            present.union_with(&ev_bits);
             on_instant(instant, Present::new(self.sig_table(), &present));
             if span_every > 0 {
                 in_window += 1;
@@ -537,6 +603,244 @@ pub trait Runner {
     }
 }
 
+/// Bind one event's stimuli: write its valued inputs and collect the
+/// ids of every stimulus (unknown pure names are ignored) into
+/// `stimuli`.
+fn bind_event<R: Runner + ?Sized>(
+    r: &mut R,
+    ev: &InstantEvents,
+    stimuli: &mut BitSet,
+) -> Result<(), SimError> {
+    stimuli.clear();
+    for (name, v) in &ev.valued {
+        let Some(id) = r.sig_table().lookup(name) else {
+            return err(format!("no task reads signal `{name}`"));
+        };
+        r.set_input_i64_id(id, *v)?;
+        stimuli.insert(id.bit());
+    }
+    for name in ev.pure.iter() {
+        if let Some(id) = r.sig_table().lookup(name) {
+            stimuli.insert(id.bit());
+        }
+    }
+    Ok(())
+}
+
+mod sealed {
+    use super::{InstantHarness, SimError};
+    use efsm::BitSet;
+
+    /// A runner's own part of an instant: everything the harness
+    /// does not do around it.
+    pub trait ReactionStep {
+        /// The embedded harness.
+        fn harness(&self) -> &InstantHarness;
+
+        /// The embedded harness, mutably.
+        fn harness_mut(&mut self) -> &mut InstantHarness;
+
+        /// Give every data runtime `fuel` for the coming instant.
+        fn set_fuel(&mut self, fuel: u64);
+
+        /// React to the (fault-adjusted) `events`, accounting every
+        /// emission through [`InstantHarness::emit`] into `out`
+        /// (already cleared). Returns `(nodes visited, fuel burned)`
+        /// for the watchdog.
+        fn react(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(u64, u64), SimError>;
+    }
+}
+
+/// The part of a runner's state a [`RunnerSnapshot`] captures: what
+/// the harness carries from one instant boundary to the next.
+#[derive(Clone)]
+struct HarnessState {
+    /// The next environment instant number.
+    instant: u64,
+    /// Emission counts by interned id.
+    counts: Vec<u64>,
+    /// Optional full-trace recorder (see [`Runner::enable_trace`]).
+    recorder: Recorder,
+    /// Per-instant resource budgets (None = no watchdog).
+    watchdog: Option<WatchdogBudget>,
+    /// Fleet session id carried on telemetry `error` lines (0 outside
+    /// a fleet).
+    session: u64,
+    /// Externally-delayed events: `(due instant, signal bit)`. Empty
+    /// unless a fault plan delays stimuli.
+    delayed: Vec<(u64, usize)>,
+}
+
+/// The instant bracket both runners embed: everything about an
+/// instant except the reaction itself. Its `run` is the one place that
+/// refuses a poisoned runner, applies the external fault sites, sets
+/// the per-instant fuel budget, brackets the recorder and checks the
+/// watchdog.
+pub struct InstantHarness {
+    /// Checkpointed state (see [`RunnerSnapshot`]).
+    state: HarnessState,
+    /// The design-wide signal interner.
+    table: Arc<SigTable>,
+    /// An instant is currently executing. Left latched when a panic
+    /// unwinds through it — the poisoned-state detector: further
+    /// instants are refused with [`SimErrorKind::Poisoned`].
+    in_instant: bool,
+    /// Delivery order of the last instant's emissions (the name shim).
+    order: Vec<SigId>,
+    /// Effective-stimulus scratch for fault-adjusted instants (only
+    /// touched when a plan is installed or stimuli are delayed).
+    fault_scratch: BitSet,
+    /// Unflushed telemetry of the runner (trace ring, table steps,
+    /// mailbox occupancy, `step_event` instants). Not part of a
+    /// [`RunnerSnapshot`]: replayed instants count as work again.
+    probe: Probe,
+}
+
+impl InstantHarness {
+    fn new(table: Arc<SigTable>) -> InstantHarness {
+        InstantHarness {
+            state: HarnessState {
+                instant: 0,
+                counts: vec![0; table.len()],
+                recorder: Recorder::new(Arc::clone(&table)),
+                watchdog: None,
+                session: 0,
+                delayed: Vec::new(),
+            },
+            table,
+            in_instant: false,
+            order: Vec::new(),
+            fault_scratch: BitSet::new(),
+            probe: Probe::new(),
+        }
+    }
+
+    /// Run one instant of `r`. In order: refuse a poisoned runner,
+    /// compute the fault-adjusted stimuli, fire an injected panic, set
+    /// the fuel budget, begin the recorder, run the reaction, end the
+    /// recorder, advance the instant, check the watchdog.
+    ///
+    /// Fuel is a per-instant budget: every instant starts with
+    /// [`DEFAULT_FUEL`], or the plan's cap on a fuel-starved instant,
+    /// so a long-lived runner never runs dry.
+    fn run<R: sealed::ReactionStep + ?Sized>(
+        r: &mut R,
+        events: &BitSet,
+        out: &mut BitSet,
+    ) -> Result<(), SimError> {
+        let h = r.harness_mut();
+        h.refuse_if_poisoned("runner state torn by a panic in an earlier instant")?;
+        let now = h.state.instant;
+        let faults = ecl_faults::enabled();
+        let adjusted = faults || !h.state.delayed.is_empty();
+        let mut scratch = std::mem::take(&mut h.fault_scratch);
+        if adjusted {
+            h.adjust_stimuli(events, &mut scratch);
+        }
+        h.in_instant = true;
+        let mut fuel = DEFAULT_FUEL;
+        if faults {
+            if ecl_faults::panic_due(now) {
+                panic!("ecl-faults: injected panic at instant {now}");
+            }
+            if let Some(cap) = ecl_faults::fuel_cap(now) {
+                fuel = fuel.min(cap);
+            }
+        }
+        r.set_fuel(fuel);
+        let stimuli = if adjusted { &scratch } else { events };
+        let h = r.harness_mut();
+        let wall_t0 = h
+            .state
+            .watchdog
+            .and_then(|w| w.max_wall_ns.map(|_| std::time::Instant::now()));
+        out.clear();
+        h.order.clear();
+        h.state.recorder.begin(now, stimuli);
+        let spent = r.react(stimuli, out);
+        let h = r.harness_mut();
+        h.in_instant = false;
+        h.fault_scratch = scratch;
+        let (nodes, fuel) = spent?;
+        h.state.recorder.end(&mut h.probe);
+        h.state.instant += 1;
+        check_watchdog(h.state.watchdog, now, nodes, fuel, wall_t0)
+    }
+
+    /// Fail with [`SimErrorKind::Poisoned`] when a panic left the
+    /// runner torn mid-instant.
+    fn refuse_if_poisoned(&self, msg: &str) -> Result<(), SimError> {
+        if self.in_instant {
+            return Err(SimError::poisoned(msg));
+        }
+        Ok(())
+    }
+
+    /// The fault-adjusted stimulus set of this instant, into `scratch`:
+    /// drop or delay fresh events, then merge the delayed ones that
+    /// are due. Decisions are keyed by `(instant, signal)`, so both
+    /// runners compute the identical set.
+    fn adjust_stimuli(&mut self, events: &BitSet, scratch: &mut BitSet) {
+        scratch.clear();
+        let now = self.state.instant;
+        let delayed = &mut self.state.delayed;
+        let mut i = 0;
+        while i < delayed.len() {
+            if delayed[i].0 <= now {
+                scratch.insert(delayed.swap_remove(i).1);
+            } else {
+                i += 1;
+            }
+        }
+        for bit in events.iter() {
+            if ecl_faults::drop_external(now, bit as u32) {
+                continue;
+            }
+            if let Some(d) = ecl_faults::delay_external(now, bit as u32) {
+                delayed.push((now + d, bit));
+                continue;
+            }
+            scratch.insert(bit);
+        }
+    }
+
+    /// Account one emission: trace it (its scalar `value` is computed
+    /// only while recording), count it, note its delivery order and
+    /// mark it in `out`.
+    fn emit(&mut self, sig: SigId, value: impl FnOnce() -> Option<i64>, out: &mut BitSet) {
+        if self.state.recorder.is_enabled() {
+            self.state.recorder.emit(sig, value());
+        }
+        self.state.counts[sig.bit()] += 1;
+        self.order.push(sig);
+        out.insert(sig.bit());
+    }
+
+    /// Fold `probes` into the harness probe, flush it into the
+    /// process-wide registry, and flush the calling thread's probe.
+    fn flush<'a>(&mut self, probes: impl IntoIterator<Item = &'a mut Probe>) {
+        for p in probes {
+            self.probe.absorb(p);
+        }
+        self.probe.flush();
+        ecl_telemetry::flush_thread_probe();
+    }
+
+    /// The checkpointable state, refused mid-instant.
+    fn checkpoint(&self) -> Result<HarnessState, SimError> {
+        self.refuse_if_poisoned("cannot snapshot mid-instant (runner state is torn)")?;
+        Ok(self.state.clone())
+    }
+
+    /// Resume from a checkpoint. Heals a poisoned runner: the latch
+    /// and any half-filled scratch are cleared.
+    fn restore(&mut self, state: &HarnessState) {
+        self.state = state.clone();
+        self.in_instant = false;
+        self.order.clear();
+    }
+}
+
 /// Trace-friendly scalar view of a signal value: integers read as
 /// `i64`, aggregates (packets, frames) trace as presence only.
 fn trace_value(rt: &Rt, v: &ecl_types::Value) -> Option<i64> {
@@ -544,8 +848,8 @@ fn trace_value(rt: &Rt, v: &ecl_types::Value) -> Option<i64> {
     table.get(v.ty).is_integer().then(|| v.as_i64(table))
 }
 
-/// Shared watchdog verdict for an instant that just completed: trips
-/// the first exceeded budget as a [`SimErrorKind::Watchdog`] error
+/// Watchdog verdict for an instant that just completed: trips the
+/// first exceeded budget as a [`SimErrorKind::Watchdog`] error
 /// (bumping `sim.watchdog_trips`), otherwise `Ok(())`.
 fn check_watchdog(
     wd: Option<WatchdogBudget>,
@@ -704,9 +1008,6 @@ struct Task {
     /// walker by the graceful-degradation ladder (latched; empty
     /// unless a fault plan demoted something).
     demoted_states: BitSet,
-    /// Fuel withheld from this task by the current instant's
-    /// starvation squeeze, restored when the instant ends.
-    fuel_credit: u64,
 }
 
 /// N compiled designs running as RTOS tasks (N = 1 models the paper's
@@ -716,7 +1017,6 @@ pub struct AsyncRunner {
     tasks: Vec<Task>,
     kernel: Kernel,
     cost: CostParams,
-    table: Arc<SigTable>,
     /// Execution backend: [`Backend::Compiled`] (default) drives every
     /// state through its fused program (mask-scan rows + residual
     /// bytecode, data hooks on the VM); [`Backend::Walker`] forces the
@@ -724,39 +1024,15 @@ pub struct AsyncRunner {
     /// — the two are observationally identical (differential-tested),
     /// the toggle exists for benchmarking and bisection.
     backend: Backend,
-    /// Current environment instant number.
-    pub instant: u64,
-    /// Emission counts by interned id.
-    counts: Vec<u64>,
-    /// Optional full-trace recorder (see [`AsyncRunner::enable_trace`]).
-    recorder: Recorder,
-    /// Per-instant resource budgets (None = no watchdog).
-    watchdog: Option<WatchdogBudget>,
-    /// An instant is currently executing. Left latched when a panic
-    /// unwinds through `instant_ids` — the poisoned-state detector:
-    /// further instants are refused with [`SimErrorKind::Poisoned`].
-    in_instant: bool,
-    /// Fleet session id carried on telemetry `error` lines (0 outside
-    /// a fleet).
-    session: u64,
-    /// Externally-delayed events: `(due instant, signal bit)`. Empty
-    /// unless a fault plan delays stimuli.
-    delayed: Vec<(u64, usize)>,
+    /// Counts, trace, watchdog, poison latch, faults and probe.
+    h: InstantHarness,
     // Reusable per-instant scratch (what makes `instant_ids`
     // allocation-free in steady state).
     evset_scratch: BitSet,
     local_scratch: BitSet,
     emit_scratch: Vec<Signal>,
-    order_scratch: Vec<SigId>,
-    /// Effective-stimulus scratch for fault-adjusted instants (only
-    /// touched when a plan is installed).
-    fault_scratch: BitSet,
-    /// Unflushed telemetry of the control path (table steps, trace
-    /// ring, mailbox occupancy, `run_events` instants). Not part of a
-    /// [`RunnerSnapshot`]: replayed instants count as work again.
-    probe: Probe,
     /// Kernel totals at the last flush (the kernel's own counters are
-    /// folded into `probe` as differences from these).
+    /// folded into the harness probe as differences from these).
     flushed: KernelTotals,
 }
 
@@ -802,66 +1078,24 @@ impl AsyncRunner {
                 prog: Arc::clone(prog),
                 id,
                 demoted_states: BitSet::new(),
-                fuel_credit: 0,
             });
         }
-        let table = Arc::clone(&shared.sig_table);
-        let counts = vec![0; table.len()];
         AsyncRunner {
             tasks,
             kernel,
             cost,
-            recorder: Recorder::new(Arc::clone(&table)),
-            table,
             backend: Backend::default(),
-            instant: 0,
-            counts,
-            watchdog: None,
-            in_instant: false,
-            session: 0,
-            delayed: Vec::new(),
+            h: InstantHarness::new(Arc::clone(&shared.sig_table)),
             evset_scratch: BitSet::new(),
             local_scratch: BitSet::new(),
             emit_scratch: Vec::new(),
-            order_scratch: Vec::new(),
-            fault_scratch: BitSet::new(),
-            probe: Probe::new(),
             flushed: KernelTotals::default(),
         }
-    }
-
-    /// Fold the kernel's work since the last flush and every task's
-    /// data-path probe into the runner's probe, then flush it into the
-    /// process-wide registry.
-    pub fn flush_telemetry(&mut self) {
-        self.kernel.flush_into(&mut self.flushed, &mut self.probe);
-        for t in &mut self.tasks {
-            self.probe.absorb(t.rt.probe_mut());
-        }
-        self.probe.flush();
-        ecl_telemetry::flush_thread_probe();
-    }
-
-    /// Tag this runner with a fleet session id — carried on its
-    /// telemetry `error` lines (and by the supervisor's `run_*`
-    /// events) so fleet JSONL streams are attributable per session.
-    pub fn set_session(&mut self, session: u64) {
-        self.session = session;
-    }
-
-    /// The session id this runner is tagged with (0 outside a fleet).
-    pub fn session(&self) -> u64 {
-        self.session
     }
 
     /// Access the kernel (cycle counters, loss statistics).
     pub fn kernel(&self) -> &Kernel {
         &self.kernel
-    }
-
-    /// The design-wide signal interner.
-    pub fn sig_table(&self) -> &Arc<SigTable> {
-        &self.table
     }
 
     /// The designs running in the tasks.
@@ -872,20 +1106,6 @@ impl AsyncRunner {
     /// The compiled machines.
     pub fn machines(&self) -> impl Iterator<Item = &Efsm> {
         self.tasks.iter().map(|t| &t.prog.efsm)
-    }
-
-    /// Choose the execution backend for every task — control dispatch
-    /// and data hooks switch together. See [`Runner::set_backend`].
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-        for t in &mut self.tasks {
-            t.rt.set_backend(backend);
-        }
-    }
-
-    /// The active execution backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Compiled-backend coverage, one [`TaskCoverage`] per task.
@@ -911,22 +1131,6 @@ impl AsyncRunner {
         }
     }
 
-    /// Install (or clear) the per-instant watchdog budgets.
-    pub fn set_watchdog(&mut self, wd: Option<WatchdogBudget>) {
-        self.watchdog = wd;
-    }
-
-    /// The active watchdog budgets, if any.
-    pub fn watchdog(&self) -> Option<WatchdogBudget> {
-        self.watchdog
-    }
-
-    /// Did a panic unwind through an instant, leaving the runner
-    /// state torn? A poisoned runner refuses further instants.
-    pub fn is_poisoned(&self) -> bool {
-        self.in_instant
-    }
-
     /// Table states latched onto the walker by the degradation
     /// ladder, summed over tasks.
     pub fn demoted_states(&self) -> u32 {
@@ -936,212 +1140,11 @@ impl AsyncRunner {
             .sum()
     }
 
-    /// Set the value of a valued *external* input on every task that
-    /// reads it (the testbench side of `emit_v`).
-    ///
-    /// # Errors
-    ///
-    /// Fails when no task knows the signal.
-    pub fn set_input_i64(&mut self, name: &str, v: i64) -> Result<(), SimError> {
-        let Some(id) = self.table.lookup(name) else {
-            return err(format!("no task reads signal `{name}`"));
-        };
-        self.set_input_i64_id(id, v)
-    }
-
-    /// [`AsyncRunner::set_input_i64`] by interned id.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no task knows the signal, or the signal is pure.
-    pub fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError> {
-        let mut hit = false;
-        let entry_err = |t: &Task, e: ecl_core::rt::RtError| {
-            SimError::eval(format!("task `{}`: {e}", t.prog.design.entry))
-        };
-        for ti in 0..self.tasks.len() {
-            let Some(Some(local)) = self.tasks[ti].prog.from_global.get(sig.bit()).copied() else {
-                continue;
-            };
-            let t = &mut self.tasks[ti];
-            t.rt.set_input_i64_idx(local.0 as usize, v)
-                .map_err(|e| entry_err(t, e))?;
-            hit = true;
-        }
-        if !hit {
-            return err(format!("no task reads signal `{}`", self.table.name(sig)));
-        }
-        self.recorder.note_input(sig, v);
-        Ok(())
-    }
-
-    /// Run one environment instant entirely on interned ids: post the
-    /// external `events`, tick every task once (the paper's footnote:
-    /// tasks with pending `await ()` deltas must be rescheduled even
-    /// without events), then run event cascades to quiescence. The
-    /// emitted ids land in `out` (cleared first); delivery order is
-    /// retained internally for the name shim. Allocation-free in
-    /// steady state.
-    ///
-    /// With a fault plan installed, the external drop/delay sites are
-    /// applied here (keyed by `(instant, signal)`, identically on the
-    /// interpreter runner), and a panic that unwinds through the
-    /// instant latches the poisoned flag: further instants are
-    /// refused with [`SimErrorKind::Poisoned`] instead of running on
-    /// torn state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates data-evaluation errors from any task; trips the
-    /// watchdog budgets, if set.
-    pub fn instant_ids(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
-        if self.in_instant {
-            return Err(SimError::poisoned(
-                "runner state torn by a panic in an earlier instant",
-            ));
-        }
-        if !ecl_faults::enabled() && self.delayed.is_empty() {
-            self.in_instant = true;
-            let r = self.instant_ids_inner(events, out);
-            self.in_instant = false;
-            return r;
-        }
-        // Fault-adjusted stimulus set: drop/delay fresh events, then
-        // merge delayed ones that are due (keyed decisions — the
-        // interpreter runner computes the identical set).
-        let mut scratch = std::mem::take(&mut self.fault_scratch);
-        scratch.clear();
-        let now = self.instant;
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                scratch.insert(self.delayed.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-        for bit in events.iter() {
-            if ecl_faults::drop_external(now, bit as u32) {
-                continue;
-            }
-            if let Some(d) = ecl_faults::delay_external(now, bit as u32) {
-                self.delayed.push((now + d, bit));
-                continue;
-            }
-            scratch.insert(bit);
-        }
-        self.in_instant = true;
-        let r = self.instant_ids_inner(&scratch, out);
-        self.in_instant = false;
-        self.fault_scratch = scratch;
-        r
-    }
-
-    fn instant_ids_inner(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
-        let faults = ecl_faults::enabled();
-        if faults {
-            if ecl_faults::panic_due(self.instant) {
-                panic!("ecl-faults: injected panic at instant {}", self.instant);
-            }
-            self.kernel.flush_deferred();
-            if let Some(cap) = ecl_faults::fuel_cap(self.instant) {
-                for t in &mut self.tasks {
-                    let fuel = t.rt.machine().fuel();
-                    if fuel > cap {
-                        t.rt.machine_mut().set_fuel(cap);
-                        t.fuel_credit = fuel - cap;
-                    }
-                }
-            }
-        }
-        let wall_t0 = self
-            .watchdog
-            .and_then(|w| w.max_wall_ns.map(|_| std::time::Instant::now()));
-        let mut nodes_spent = 0u64;
-        let mut fuel_spent = 0u64;
-        out.clear();
-        self.order_scratch.clear();
-        self.recorder.begin(self.instant, events);
-        for e in events.iter() {
-            self.kernel.post_external(e as u32);
-        }
-        // Phase 1: periodic tick — every task reacts once.
-        for ti in 0..self.tasks.len() {
-            let id = self.tasks[ti].id;
-            self.kernel.dispatch_into(id, &mut self.evset_scratch);
-            // The drained mailbox is the occupancy at dispatch.
-            self.probe
-                .record(tm::RTK_MAILBOX_OCCUPANCY, self.evset_scratch.len() as u64);
-            let (nodes, ops) = self.react_task(ti, out)?;
-            nodes_spent += nodes as u64;
-            fuel_spent += ops;
-        }
-        // Phase 2: cascades from internal emissions.
-        let mut budget = 100_000u32; // runaway guard
-        while let Some(tid) = self.kernel.schedule_into(&mut self.evset_scratch) {
-            budget = budget.checked_sub(1).ok_or_else(|| {
-                SimError::livelock("asynchronous network livelock (tasks keep waking each other)")
-            })?;
-            self.probe
-                .record(tm::RTK_MAILBOX_OCCUPANCY, self.evset_scratch.len() as u64);
-            let ti = self
-                .tasks
-                .iter()
-                .position(|t| t.id == tid)
-                .expect("scheduled task exists");
-            let (nodes, ops) = self.react_task(ti, out)?;
-            nodes_spent += nodes as u64;
-            fuel_spent += ops;
-        }
-        if faults {
-            // Hand back the fuel the starvation squeeze withheld —
-            // starvation is per instant, not permanent.
-            for t in &mut self.tasks {
-                if t.fuel_credit > 0 {
-                    let fuel = t.rt.machine().fuel();
-                    t.rt.machine_mut().set_fuel(fuel + t.fuel_credit);
-                    t.fuel_credit = 0;
-                }
-            }
-        }
-        self.recorder.end(&mut self.probe);
-        self.instant += 1;
-        check_watchdog(
-            self.watchdog,
-            self.instant - 1,
-            nodes_spent,
-            fuel_spent,
-            wall_t0,
-        )
-    }
-
-    /// Run one environment instant; returns the names emitted during
-    /// the instant (in delivery order). Compatibility shim over
-    /// [`AsyncRunner::instant_ids`]; unknown event names are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates data-evaluation errors from any task.
-    pub fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
-        let ev: BitSet = events
-            .iter()
-            .filter_map(|n| self.table.lookup(n))
-            .map(SigId::bit)
-            .collect();
-        let mut out = BitSet::new();
-        self.instant_ids(&ev, &mut out)?;
-        Ok(self
-            .order_scratch
-            .iter()
-            .map(|id| self.table.name(*id).to_string())
-            .collect())
-    }
-
     /// Run one reaction of task `ti` with `evset_scratch` as the
     /// present input snapshot (global ids), accumulating emissions
-    /// into `out` and `order_scratch`. Returns `(nodes visited, fuel
+    /// into `out` through the harness. Returns `(nodes visited, fuel
     /// burned)` for the watchdog accounting.
-    fn react_task(&mut self, ti: usize, out: &mut BitSet) -> Result<(u32, u64), SimError> {
+    fn react_task(&mut self, ti: usize, out: &mut BitSet) -> Result<(u64, u64), SimError> {
         // Map the global event snapshot into the task's signal space.
         self.local_scratch.clear();
         {
@@ -1178,7 +1181,7 @@ impl AsyncRunner {
                     &self.local_scratch,
                     &mut t.rt,
                     &mut self.emit_scratch,
-                    &mut self.probe,
+                    &mut self.h.probe,
                 )
             } else {
                 t.prog.efsm.step_bits(
@@ -1208,13 +1211,15 @@ impl AsyncRunner {
         for k in 0..self.emit_scratch.len() {
             let local = self.emit_scratch[k];
             let gid = self.tasks[ti].prog.to_global[local.0 as usize];
-            if self.recorder.is_enabled() {
-                let t = &self.tasks[ti];
-                let traced =
+            let t = &self.tasks[ti];
+            self.h.emit(
+                gid,
+                || {
                     t.rt.signal_value(local.0 as usize)
-                        .and_then(|v| trace_value(&t.rt, v));
-                self.recorder.emit(gid, traced);
-            }
+                        .and_then(|v| trace_value(&t.rt, v))
+                },
+                out,
+            );
             // Copy the value into every *other* task that reads it
             // (single-task runs skip the clone entirely).
             if self.tasks.len() > 1 && self.tasks[ti].prog.valued[local.0 as usize] {
@@ -1236,12 +1241,70 @@ impl AsyncRunner {
                 }
             }
             self.kernel.post_internal(tid, gid.0);
-            self.counts[gid.bit()] += 1;
-            self.order_scratch.push(gid);
-            out.insert(gid.bit());
         }
         self.emit_scratch.clear();
-        Ok((r.nodes_visited, ops))
+        Ok((r.nodes_visited as u64, ops))
+    }
+}
+
+impl sealed::ReactionStep for AsyncRunner {
+    fn harness(&self) -> &InstantHarness {
+        &self.h
+    }
+
+    fn harness_mut(&mut self) -> &mut InstantHarness {
+        &mut self.h
+    }
+
+    fn set_fuel(&mut self, fuel: u64) {
+        for t in &mut self.tasks {
+            t.rt.machine_mut().set_fuel(fuel);
+        }
+    }
+
+    /// Post the external `events`, tick every task once (the paper's
+    /// footnote: tasks with pending `await ()` deltas must be
+    /// rescheduled even without events), then run event cascades to
+    /// quiescence.
+    fn react(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(u64, u64), SimError> {
+        if ecl_faults::enabled() {
+            self.kernel.flush_deferred();
+        }
+        let (mut nodes, mut fuel) = (0, 0);
+        for e in events.iter() {
+            self.kernel.post_external(e as u32);
+        }
+        // Phase 1: periodic tick — every task reacts once.
+        for ti in 0..self.tasks.len() {
+            let id = self.tasks[ti].id;
+            self.kernel.dispatch_into(id, &mut self.evset_scratch);
+            // The drained mailbox is the occupancy at dispatch.
+            self.h
+                .probe
+                .record(tm::RTK_MAILBOX_OCCUPANCY, self.evset_scratch.len() as u64);
+            let (n, f) = self.react_task(ti, out)?;
+            nodes += n;
+            fuel += f;
+        }
+        // Phase 2: cascades from internal emissions.
+        let mut budget = 100_000u32; // runaway guard
+        while let Some(tid) = self.kernel.schedule_into(&mut self.evset_scratch) {
+            budget = budget.checked_sub(1).ok_or_else(|| {
+                SimError::livelock("asynchronous network livelock (tasks keep waking each other)")
+            })?;
+            self.h
+                .probe
+                .record(tm::RTK_MAILBOX_OCCUPANCY, self.evset_scratch.len() as u64);
+            let ti = self
+                .tasks
+                .iter()
+                .position(|t| t.id == tid)
+                .expect("scheduled task exists");
+            let (n, f) = self.react_task(ti, out)?;
+            nodes += n;
+            fuel += f;
+        }
+        Ok((nodes, fuel))
     }
 }
 
@@ -1251,34 +1314,29 @@ struct TaskSnapshot {
     state: StateId,
     rt: Rt,
     demoted_states: BitSet,
-    fuel_credit: u64,
 }
 
 /// The full mutable reaction state of an [`AsyncRunner`] captured at
-/// an instant boundary: kernel mailboxes and deferred queues, every
-/// task's EFSM control state and data runtime (slot file, signal
-/// values, demotion latches, fuel), emission counters, the trace
-/// ring, pending delayed stimuli, the backend choice and the watchdog
-/// budgets. Restoring it resumes the session bit-identically — VCD
-/// bytes, verdicts, `nodes_visited` and fuel all match a run that was
-/// never interrupted (property-tested in `tests/checkpoint.rs`).
+/// an instant boundary: the harness state (instant, emission counters,
+/// trace ring, watchdog budgets, session id, pending delayed stimuli),
+/// kernel mailboxes and deferred queues, every task's EFSM control
+/// state and data runtime (slot file, signal values, demotion
+/// latches) and the backend choice. Restoring it resumes the session
+/// bit-identically — VCD bytes, verdicts, `nodes_visited` and fuel
+/// charges all match a run that was never interrupted
+/// (property-tested in `tests/checkpoint.rs`).
 #[derive(Clone)]
 pub struct RunnerSnapshot {
-    instant: u64,
+    harness: HarnessState,
     backend: Backend,
     kernel: Kernel,
-    counts: Vec<u64>,
-    recorder: Recorder,
-    watchdog: Option<WatchdogBudget>,
-    delayed: Vec<(u64, usize)>,
-    session: u64,
     tasks: Vec<TaskSnapshot>,
 }
 
 impl RunnerSnapshot {
     /// The instant the snapshot was taken at (the next one to run).
     pub fn instant(&self) -> u64 {
-        self.instant
+        self.harness.instant
     }
 }
 
@@ -1309,20 +1367,10 @@ pub trait Snapshot {
 
 impl Snapshot for AsyncRunner {
     fn snapshot(&self) -> Result<RunnerSnapshot, SimError> {
-        if self.in_instant {
-            return Err(SimError::poisoned(
-                "cannot snapshot mid-instant (runner state is torn)",
-            ));
-        }
         Ok(RunnerSnapshot {
-            instant: self.instant,
+            harness: self.h.checkpoint()?,
             backend: self.backend,
             kernel: self.kernel.clone(),
-            counts: self.counts.clone(),
-            recorder: self.recorder.clone(),
-            watchdog: self.watchdog,
-            delayed: self.delayed.clone(),
-            session: self.session,
             tasks: self
                 .tasks
                 .iter()
@@ -1330,7 +1378,6 @@ impl Snapshot for AsyncRunner {
                     state: t.state,
                     rt: t.rt.clone(),
                     demoted_states: t.demoted_states.clone(),
-                    fuel_credit: t.fuel_credit,
                 })
                 .collect(),
         })
@@ -1347,26 +1394,16 @@ impl Snapshot for AsyncRunner {
         // The work since the last flush happened (replayed instants
         // count again); count it before the kernel totals rewind.
         self.flush_telemetry();
-        self.instant = snap.instant;
+        self.h.restore(&snap.harness);
         self.backend = snap.backend;
         self.kernel = snap.kernel.clone();
         self.flushed = self.kernel.totals();
-        self.counts = snap.counts.clone();
-        self.recorder = snap.recorder.clone();
-        self.watchdog = snap.watchdog;
-        self.delayed = snap.delayed.clone();
-        self.session = snap.session;
         for (t, s) in self.tasks.iter_mut().zip(&snap.tasks) {
             t.state = s.state;
             t.rt = s.rt.clone();
             t.demoted_states = s.demoted_states.clone();
-            t.fuel_credit = s.fuel_credit;
         }
-        // A restore heals a poisoned runner: the torn state (including
-        // any half-filled scratch) is gone.
-        self.in_instant = false;
         self.emit_scratch.clear();
-        self.order_scratch.clear();
         Ok(())
     }
 }
@@ -1377,23 +1414,8 @@ pub struct InterpRunner<'d> {
     design: &'d Design,
     machine: esterel::Machine<'d>,
     rt: Rt,
-    table: Arc<SigTable>,
-    /// Emission counts by interned id.
-    counts: Vec<u64>,
-    /// Current environment instant number.
-    pub instant: u64,
-    recorder: Recorder,
-    order_scratch: Vec<SigId>,
-    /// Per-instant resource budgets (None = no watchdog).
-    watchdog: Option<WatchdogBudget>,
-    /// Panic-poisoning latch, as on [`AsyncRunner`].
-    in_instant: bool,
-    /// Externally-delayed events: `(due instant, signal bit)`.
-    delayed: Vec<(u64, usize)>,
-    /// Effective-stimulus scratch for fault-adjusted instants.
-    fault_scratch: BitSet,
-    /// Unflushed telemetry (trace ring, `run_events` instants).
-    probe: Probe,
+    /// Counts, trace, watchdog, poison latch, faults and probe.
+    h: InstantHarness,
 }
 
 impl<'d> InterpRunner<'d> {
@@ -1410,130 +1432,44 @@ impl<'d> InterpRunner<'d> {
         for info in design.program().signals() {
             table.intern(&info.name);
         }
-        let table = Arc::new(table);
-        let counts = vec![0; table.len()];
         Ok(InterpRunner {
             design,
             machine: esterel::Machine::new(design.program()),
             rt,
-            recorder: Recorder::new(Arc::clone(&table)),
-            table,
-            counts,
-            instant: 0,
-            order_scratch: Vec::new(),
-            watchdog: None,
-            in_instant: false,
-            delayed: Vec::new(),
-            fault_scratch: BitSet::new(),
-            probe: Probe::new(),
+            h: InstantHarness::new(Arc::new(table)),
         })
     }
 
-    /// The design-wide signal interner.
-    pub fn sig_table(&self) -> &Arc<SigTable> {
-        &self.table
+    /// Access the runtime (inspect signal values).
+    pub fn rt(&self) -> &Rt {
+        &self.rt
     }
 
-    /// Set a valued input.
-    ///
-    /// # Errors
-    ///
-    /// Unknown/pure signal.
-    pub fn set_input_i64(&mut self, name: &str, v: i64) -> Result<(), SimError> {
-        let Some(id) = self.table.lookup(name) else {
-            return err(format!("unknown signal `{name}`"));
-        };
-        self.set_input_i64_id(id, v)
+    /// The design this runner executes.
+    pub fn design(&self) -> &'d Design {
+        self.design
+    }
+}
+
+impl sealed::ReactionStep for InterpRunner<'_> {
+    fn harness(&self) -> &InstantHarness {
+        &self.h
     }
 
-    /// [`InterpRunner::set_input_i64`] by interned id.
-    ///
-    /// # Errors
-    ///
-    /// Unknown/pure signal.
-    pub fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError> {
-        self.rt
-            .set_input_i64_idx(sig.bit(), v)
-            .map_err(|e| SimError::eval(e.to_string()))?;
-        self.recorder.note_input(sig, v);
-        Ok(())
+    fn harness_mut(&mut self) -> &mut InstantHarness {
+        &mut self.h
     }
 
-    /// Run one instant on interned ids; emitted ids land in `out`
-    /// (cleared first). For this runner global ids coincide with the
+    fn set_fuel(&mut self, fuel: u64) {
+        self.rt.machine_mut().set_fuel(fuel);
+    }
+
+    /// One constructive reaction. Global ids coincide with the
     /// program's signal indices, so `events` feeds the interpreter
-    /// directly.
-    ///
-    /// With a fault plan installed, the external drop/delay sites are
-    /// applied with the same `(instant, signal)` keys as on
-    /// [`AsyncRunner`], so a kernel-free plan replays identically on
-    /// both runners.
-    ///
-    /// # Errors
-    ///
-    /// Non-constructive programs and data errors; watchdog trips.
-    pub fn instant_ids(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
-        if self.in_instant {
-            return Err(SimError::poisoned(
-                "runner state torn by a panic in an earlier instant",
-            ));
-        }
-        if !ecl_faults::enabled() && self.delayed.is_empty() {
-            self.in_instant = true;
-            let r = self.instant_ids_inner(events, out);
-            self.in_instant = false;
-            return r;
-        }
-        let mut scratch = std::mem::take(&mut self.fault_scratch);
-        scratch.clear();
-        let now = self.instant;
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                scratch.insert(self.delayed.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-        for bit in events.iter() {
-            if ecl_faults::drop_external(now, bit as u32) {
-                continue;
-            }
-            if let Some(d) = ecl_faults::delay_external(now, bit as u32) {
-                self.delayed.push((now + d, bit));
-                continue;
-            }
-            scratch.insert(bit);
-        }
-        self.in_instant = true;
-        let r = self.instant_ids_inner(&scratch, out);
-        self.in_instant = false;
-        self.fault_scratch = scratch;
-        r
-    }
-
-    fn instant_ids_inner(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
-        let mut fuel_credit = 0u64;
-        if ecl_faults::enabled() {
-            if ecl_faults::panic_due(self.instant) {
-                panic!("ecl-faults: injected panic at instant {}", self.instant);
-            }
-            if let Some(cap) = ecl_faults::fuel_cap(self.instant) {
-                let fuel = self.rt.machine().fuel();
-                if fuel > cap {
-                    self.rt.machine_mut().set_fuel(cap);
-                    fuel_credit = fuel - cap;
-                }
-            }
-        }
-        let wall_t0 = self
-            .watchdog
-            .and_then(|w| w.max_wall_ns.map(|_| std::time::Instant::now()));
+    /// directly; the watchdog's node count is constructive passes.
+    fn react(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(u64, u64), SimError> {
         let fuel_before = self.rt.machine().fuel();
         let passes_before = self.machine.passes;
-        out.clear();
-        self.order_scratch.clear();
-        self.recorder.begin(self.instant, events);
         let r = self
             .machine
             .react_set(events, &mut self.rt as &mut dyn DataHooks)
@@ -1541,69 +1477,93 @@ impl<'d> InterpRunner<'d> {
         if let Some(e) = self.rt.take_error() {
             return err(e.to_string());
         }
+        let rt = &self.rt;
         for s in &r.emitted {
-            let gid = SigId(s.0);
-            if self.recorder.is_enabled() {
-                let traced = self
-                    .rt
-                    .signal_value(s.0 as usize)
-                    .and_then(|v| trace_value(&self.rt, v));
-                self.recorder.emit(gid, traced);
-            }
-            self.counts[gid.bit()] += 1;
-            self.order_scratch.push(gid);
-            out.insert(gid.bit());
+            self.h.emit(
+                SigId(s.0),
+                || {
+                    rt.signal_value(s.0 as usize)
+                        .and_then(|v| trace_value(rt, v))
+                },
+                out,
+            );
         }
-        let fuel_spent = fuel_before.saturating_sub(self.rt.machine().fuel());
-        if fuel_credit > 0 {
-            let fuel = self.rt.machine().fuel();
-            self.rt.machine_mut().set_fuel(fuel + fuel_credit);
+        let fuel = fuel_before.saturating_sub(self.rt.machine().fuel());
+        Ok((self.machine.passes - passes_before, fuel))
+    }
+}
+
+impl Runner for AsyncRunner {
+    /// Control dispatch and data hooks switch together, on every task.
+    fn set_backend(&mut self, backend: Backend) {
+        self.backend = backend;
+        for t in &mut self.tasks {
+            t.rt.set_backend(backend);
         }
-        self.recorder.end(&mut self.probe);
-        self.instant += 1;
-        let passes = self.machine.passes - passes_before;
-        check_watchdog(self.watchdog, self.instant - 1, passes, fuel_spent, wall_t0)
     }
 
-    /// Run one instant; returns emitted names. Compatibility shim over
-    /// [`InterpRunner::instant_ids`]; unknown event names are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Non-constructive programs and data errors.
-    pub fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
-        let ev: BitSet = events
-            .iter()
-            .filter_map(|n| self.table.lookup(n))
-            .map(SigId::bit)
-            .collect();
-        let mut out = BitSet::new();
-        self.instant_ids(&ev, &mut out)?;
-        Ok(self
-            .order_scratch
-            .iter()
-            .map(|id| self.table.name(*id).to_string())
-            .collect())
+    fn backend(&self) -> Backend {
+        self.backend
     }
 
-    /// Choose the data-hook backend. The reactive side — the
+    fn coverage(&self) -> CoverageReport {
+        AsyncRunner::coverage(self)
+    }
+
+    /// Writes the value into every task that reads the signal.
+    fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError> {
+        let mut hit = false;
+        for t in &mut self.tasks {
+            let Some(Some(local)) = t.prog.from_global.get(sig.bit()).copied() else {
+                continue;
+            };
+            t.rt.set_input_i64_idx(local.0 as usize, v)
+                .map_err(|e| SimError::eval(format!("task `{}`: {e}", t.prog.design.entry)))?;
+            hit = true;
+        }
+        if !hit {
+            return err(format!("no task reads signal `{}`", self.h.table.name(sig)));
+        }
+        self.h.state.recorder.note_input(sig, v);
+        Ok(())
+    }
+
+    /// Folds the kernel's work since the last flush and every task's
+    /// data-path probe into the harness probe before flushing it.
+    fn flush_telemetry(&mut self) {
+        self.kernel.flush_into(&mut self.flushed, &mut self.h.probe);
+        self.h
+            .flush(self.tasks.iter_mut().map(|t| t.rt.probe_mut()));
+    }
+
+    fn emit_losses(&self) {
+        self.kernel.emit_events_lost_event();
+    }
+}
+
+impl Drop for AsyncRunner {
+    fn drop(&mut self) {
+        self.flush_telemetry();
+    }
+}
+
+impl Runner for InterpRunner<'_> {
+    /// Only the data path switches: the reactive side — the
     /// constructive Esterel interpreter — evaluates the very same
-    /// hooks either way; only the data path switches between bytecode
-    /// VM and tree-walker, so [`Backend::Compiled`] here means
-    /// "compiled data hooks", never fused control rows.
-    pub fn set_backend(&mut self, backend: Backend) {
+    /// hooks either way, so [`Backend::Compiled`] here means "compiled
+    /// data hooks", never fused control rows.
+    fn set_backend(&mut self, backend: Backend) {
         self.rt.set_backend(backend);
     }
 
-    /// The active data-hook backend.
-    pub fn backend(&self) -> Backend {
+    fn backend(&self) -> Backend {
         self.rt.backend()
     }
 
-    /// Compiled-backend coverage of the single design. Control always
-    /// runs on the constructive interpreter here, so the report covers
-    /// the data path only (`states == fused_states == 0`).
-    pub fn coverage(&self) -> CoverageReport {
+    /// Control always runs on the constructive interpreter here, so
+    /// the report covers the data path only (`states == fused_states
+    /// == 0`).
+    fn coverage(&self) -> CoverageReport {
         let (vm_compiled, vm_total) = self.rt.vm_coverage();
         CoverageReport {
             tasks: vec![TaskCoverage {
@@ -1619,164 +1579,19 @@ impl<'d> InterpRunner<'d> {
         }
     }
 
-    /// Access the runtime (inspect signal values).
-    pub fn rt(&self) -> &Rt {
-        &self.rt
-    }
-
-    /// Install (or clear) the per-instant watchdog budgets.
-    pub fn set_watchdog(&mut self, wd: Option<WatchdogBudget>) {
-        self.watchdog = wd;
-    }
-
-    /// The active watchdog budgets, if any.
-    pub fn watchdog(&self) -> Option<WatchdogBudget> {
-        self.watchdog
-    }
-
-    /// Did a panic unwind through an instant, leaving the runner
-    /// state torn? A poisoned runner refuses further instants.
-    pub fn is_poisoned(&self) -> bool {
-        self.in_instant
-    }
-
-    /// The design this runner executes.
-    pub fn design(&self) -> &'d Design {
-        self.design
-    }
-}
-
-impl Runner for AsyncRunner {
-    fn set_backend(&mut self, backend: Backend) {
-        AsyncRunner::set_backend(self, backend)
-    }
-
-    fn backend(&self) -> Backend {
-        AsyncRunner::backend(self)
-    }
-
-    fn coverage(&self) -> CoverageReport {
-        AsyncRunner::coverage(self)
-    }
-
-    fn sig_table(&self) -> &Arc<SigTable> {
-        AsyncRunner::sig_table(self)
-    }
-
-    fn trace_slot(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn trace_slot_mut(&mut self) -> &mut Recorder {
-        &mut self.recorder
-    }
-
-    fn counts_slot(&self) -> &[u64] {
-        &self.counts
-    }
-
     fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError> {
-        AsyncRunner::set_input_i64_id(self, sig, v)
-    }
-
-    fn set_input_i64(&mut self, name: &str, v: i64) -> Result<(), SimError> {
-        AsyncRunner::set_input_i64(self, name, v)
-    }
-
-    fn instant_ids(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
-        AsyncRunner::instant_ids(self, events, out)
-    }
-
-    fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
-        AsyncRunner::instant(self, events)
-    }
-
-    fn now(&self) -> u64 {
-        self.instant
-    }
-
-    fn session_id(&self) -> u64 {
-        self.session
-    }
-
-    fn emit_losses(&self) {
-        self.kernel.emit_events_lost_event();
-    }
-
-    fn probe_mut(&mut self) -> &mut Probe {
-        &mut self.probe
+        self.rt
+            .set_input_i64_idx(sig.bit(), v)
+            .map_err(|e| SimError::eval(e.to_string()))?;
+        self.h.state.recorder.note_input(sig, v);
+        Ok(())
     }
 
     fn flush_telemetry(&mut self) {
-        AsyncRunner::flush_telemetry(self)
+        self.h.flush([self.rt.probe_mut()]);
     }
 }
 
-impl Drop for AsyncRunner {
-    fn drop(&mut self) {
-        self.flush_telemetry();
-    }
-}
-
-impl<'d> Runner for InterpRunner<'d> {
-    fn set_backend(&mut self, backend: Backend) {
-        InterpRunner::set_backend(self, backend)
-    }
-
-    fn backend(&self) -> Backend {
-        InterpRunner::backend(self)
-    }
-
-    fn coverage(&self) -> CoverageReport {
-        InterpRunner::coverage(self)
-    }
-
-    fn sig_table(&self) -> &Arc<SigTable> {
-        InterpRunner::sig_table(self)
-    }
-
-    fn trace_slot(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn trace_slot_mut(&mut self) -> &mut Recorder {
-        &mut self.recorder
-    }
-
-    fn counts_slot(&self) -> &[u64] {
-        &self.counts
-    }
-
-    fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError> {
-        InterpRunner::set_input_i64_id(self, sig, v)
-    }
-
-    fn set_input_i64(&mut self, name: &str, v: i64) -> Result<(), SimError> {
-        InterpRunner::set_input_i64(self, name, v)
-    }
-
-    fn instant_ids(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
-        InterpRunner::instant_ids(self, events, out)
-    }
-
-    fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
-        InterpRunner::instant(self, events)
-    }
-
-    fn now(&self) -> u64 {
-        self.instant
-    }
-
-    fn probe_mut(&mut self) -> &mut Probe {
-        &mut self.probe
-    }
-
-    fn flush_telemetry(&mut self) {
-        self.probe.absorb(self.rt.probe_mut());
-        self.probe.flush();
-        ecl_telemetry::flush_thread_probe();
-    }
-}
 impl From<SimError> for ecl_syntax::EclError {
     fn from(e: SimError) -> Self {
         ecl_syntax::EclError::msg(

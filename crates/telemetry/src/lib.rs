@@ -113,6 +113,18 @@ pub fn init_from_env() -> bool {
     on
 }
 
+/// The printable message of a caught panic payload: `&str` and
+/// `String` payloads verbatim, anything else a fixed placeholder —
+/// what every panic-isolation boundary puts on its `error` line.
+pub fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+        .to_string()
+}
+
 /// Bucket count of a [`Histogram`]: one power-of-two bucket per
 /// possible `leading_zeros` answer (bucket `i` holds values in
 /// `[2^(i-1), 2^i)`, bucket 0 holds zero).

@@ -26,7 +26,7 @@ use ecl_syntax::diag::EclError;
 use ecl_telemetry::Run;
 use efsm::Backend;
 use sim::designs::PROTOCOL_STACK;
-use sim::runner::AsyncRunner;
+use sim::runner::{AsyncRunner, Runner};
 use sim::tb::PacketTb;
 
 /// Bracket one monitored run with a telemetry `Run` (a no-op when the

@@ -8,7 +8,7 @@ use ecl_observe::Monitor;
 use efsm::{Backend, BitSet};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use sim::runner::AsyncRunner;
+use sim::runner::{AsyncRunner, Runner};
 use std::collections::HashSet;
 use std::sync::Arc;
 

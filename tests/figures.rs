@@ -4,7 +4,7 @@
 
 use ecl_core::Compiler;
 use sim::designs::PROTOCOL_STACK;
-use sim::runner::InterpRunner;
+use sim::runner::{InterpRunner, Runner};
 use sim::tb::{crc16, make_packet, HDRSIZE, PKTSIZE};
 
 /// F1 — Figure 1: `assemble` gathers PKTSIZE bytes and emits the packet.

@@ -9,10 +9,11 @@
 //! The fault plan and telemetry switchboard are process-global, so
 //! every test here takes one lock.
 
-use ecl_fleet::{FleetConfig, SessionSpec, SessionStatus, Supervisor};
+use ecl_fleet::{FleetConfig, RestartPolicy, SessionSpec, SessionStatus, Supervisor};
 use ecl_observe::{Monitor, MonitorReport, Verdict};
-use sim::runner::{AsyncRunner, Runner};
-use sim::tb::{InstantEvents, PacketTb};
+use ecl_telemetry::schema::{Json, SessionAttribution};
+use sim::runner::{AsyncRunner, Runner, WatchdogBudget};
+use sim::tb::{InstantEvents, PacketTb, PagerTb};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -269,4 +270,141 @@ fn rejections_and_health_reach_the_telemetry_stream() {
         ecl_telemetry::schema::validate_line(l)
             .unwrap_or_else(|e| panic!("invalid line: {e}\n  {l}"));
     }
+}
+
+/// Every session failure reaches the stream, not only panics: a
+/// watchdog node budget the pager exceeds on its first instant trips
+/// each attempt of each session, and every trip is a session-stamped
+/// `error` line (kind `watchdog`) counted in `sim.errors`, attributed
+/// to the run its session opened.
+#[test]
+fn watchdog_trips_are_session_stamped_error_lines() {
+    let _g = locked();
+    let designs = ecl_core::Compiler::default()
+        .partition(sim::designs::VOICE_PAGER, "pager")
+        .expect("pager partitions");
+    let specs =
+        ecl_observe::synthesize_all(&ecl_syntax::parse_str(sim::designs::VOICE_PAGER).unwrap())
+            .unwrap();
+    let ev = Arc::new(
+        PagerTb {
+            rounds: 1,
+            frames: 2,
+            seed: 7,
+        }
+        .events(),
+    );
+    let sup = Supervisor::new(
+        designs,
+        &Default::default(),
+        FleetConfig {
+            shards: 2,
+            restart: RestartPolicy {
+                max_retries: 2,
+                base_ticks: 1,
+                max_ticks: 4,
+                seed: 3,
+            },
+            watchdog: Some(WatchdogBudget {
+                max_nodes: Some(1),
+                ..Default::default()
+            }),
+            ..Default::default()
+        },
+    )
+    .expect("fleet compiles");
+
+    ecl_telemetry::set_enabled(true);
+    let sink = ecl_telemetry::MemorySink::new();
+    ecl_telemetry::install_sink(Box::new(sink.clone()));
+    let base = ecl_telemetry::metrics::snapshot();
+    let rep = sup.run((1..=2).map(|id| session(id, &ev, &specs)).collect());
+    let errors = ecl_telemetry::metrics::snapshot()
+        .since(&base)
+        .get("sim.errors");
+    ecl_telemetry::uninstall_sink();
+    ecl_telemetry::set_enabled(false);
+
+    let lines: Vec<Json> = sink
+        .lines()
+        .iter()
+        .map(|l| {
+            ecl_telemetry::schema::validate_line(l)
+                .unwrap_or_else(|e| panic!("invalid line: {e}\n  {l}"));
+            ecl_telemetry::schema::parse(l).expect("valid line parses")
+        })
+        .collect();
+    let mut attribution = SessionAttribution::new();
+    for l in &lines {
+        attribution.check(l).expect("session attribution holds");
+    }
+    let mut reported = 0;
+    for s in &rep.sessions {
+        assert_eq!(s.status, SessionStatus::Failed, "session {}", s.id);
+        assert_eq!(s.restarts, 2, "session {}", s.id);
+        let trips: Vec<&Json> = lines
+            .iter()
+            .filter(|l| {
+                l.get("event").and_then(Json::as_str) == Some("error")
+                    && l.get("session").and_then(Json::as_u64) == Some(s.id)
+            })
+            .collect();
+        assert_eq!(
+            trips.len(),
+            1 + s.restarts as usize,
+            "one error line per attempt of session {}",
+            s.id
+        );
+        for t in trips {
+            assert_eq!(t.get("kind").and_then(Json::as_str), Some("watchdog"));
+            assert_eq!(t.get("instant").and_then(Json::as_u64), Some(0));
+        }
+        reported += 1 + s.restarts as u64;
+    }
+    assert_eq!(
+        errors, reported,
+        "every reported error counts in sim.errors"
+    );
+}
+
+/// The `fleet_health` line is the last of a fleet run, and it is
+/// flushed with it: a buffered writer sink holds it without any later
+/// run end or uninstall to push it out.
+#[test]
+fn fleet_health_is_flushed_as_the_last_line() {
+    let _g = locked();
+    let (ev, sp) = (events(), specs());
+    let sup = supervisor(FleetConfig::default());
+
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+    impl std::io::Write for Shared {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    ecl_telemetry::set_enabled(true);
+    ecl_telemetry::install_sink(Box::new(ecl_telemetry::WriterSink::new(Shared(
+        Arc::clone(&buf),
+    ))));
+    sup.run((1..=2).map(|id| session(id, &ev, &sp)).collect());
+    let written = String::from_utf8(buf.lock().unwrap_or_else(|e| e.into_inner()).clone())
+        .expect("utf-8 stream");
+    ecl_telemetry::uninstall_sink();
+    ecl_telemetry::set_enabled(false);
+
+    let last = written.lines().last().expect("the run wrote lines");
+    let j = ecl_telemetry::schema::parse(last).expect("last line parses");
+    assert_eq!(
+        j.get("event").and_then(Json::as_str),
+        Some("fleet_health"),
+        "last line written: {last}"
+    );
 }

@@ -8,7 +8,7 @@
 //! Nothing may be lost or counted twice on the way — not by checkpoint
 //! clones of a probe's owner, not by two shards flushing into the same
 //! cells. The solo drive mirrors the supervisor's quantum loop
-//! (`instant_ids`, then the monitors), so every counter outside the
+//! (`step_event`, then the monitors), so every counter outside the
 //! supervisor's own `fleet.*` family must match it exactly. A
 //! `run_events` drive checks that monitors stepped in its callback are
 //! counted by the time it returns, and only while telemetry is on.
@@ -75,23 +75,12 @@ fn solo_delta(sup: &Supervisor, sessions: &[SessionSpec]) -> Snapshot {
                 m
             })
             .collect();
-        let mut ev_bits = BitSet::new();
+        let mut stimuli = BitSet::new();
         let mut present = BitSet::new();
         for ev in spec.events.iter() {
-            ev_bits.clear();
-            for (name, v) in &ev.valued {
-                let id = runner.sig_table().lookup(name).expect("known input");
-                runner.set_input_i64_id(id, *v).expect("valued input");
-                ev_bits.insert(id.bit());
-            }
-            for name in ev.pure.iter() {
-                if let Some(id) = runner.sig_table().lookup(name) {
-                    ev_bits.insert(id.bit());
-                }
-            }
-            let instant = runner.now();
-            runner.instant_ids(&ev_bits, &mut present).expect("instant");
-            present.union_with(&ev_bits);
+            let instant = runner
+                .step_event(ev, &mut stimuli, &mut present, false)
+                .expect("instant");
             for m in &mut monitors {
                 m.step_ids(instant, &present, runner.sig_table());
             }
