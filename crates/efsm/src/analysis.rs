@@ -125,7 +125,6 @@ fn depth(m: &Efsm, root: crate::sgraph::NodeId) -> u32 {
         }
         let d = 1 + m.nodes[id.0 as usize]
             .successors()
-            .into_iter()
             .map(|s| go(m, s, memo))
             .max()
             .unwrap_or(0);

@@ -101,7 +101,30 @@ impl BitSet {
     /// Intersection restricted to the half-open range `[lo, hi)`:
     /// does the set contain any element in the range?
     pub fn any_in_range(&self, lo: usize, hi: usize) -> bool {
-        (lo..hi).any(|b| self.contains(b))
+        self.next_from(lo).is_some_and(|b| b < hi)
+    }
+
+    /// Remove every member in the half-open range `[lo, hi)`.
+    pub fn remove_range(&mut self, lo: usize, hi: usize) {
+        let hi = hi.min(self.words.len() * 64);
+        let mut bit = lo;
+        while bit < hi {
+            let end = hi.min((bit / 64 + 1) * 64);
+            let width = end - bit;
+            self.words[bit / 64] &= !((!0u64 >> (64 - width)) << (bit % 64));
+            bit = end;
+        }
+    }
+
+    /// The smallest member `>= from`, if any.
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut wi = from / 64;
+        let mut w = self.words.get(wi)? & (!0u64 << (from % 64));
+        while w == 0 {
+            wi += 1;
+            w = *self.words.get(wi)?;
+        }
+        Some(wi * 64 + w.trailing_zeros() as usize)
     }
 
     /// Iterate over members in increasing order.
@@ -212,6 +235,33 @@ mod tests {
         assert!(s.any_in_range(0, 3));
         assert!(!s.any_in_range(3, 9));
         assert!(s.any_in_range(9, 10));
+        assert!(!s.any_in_range(10, 1000));
+    }
+
+    #[test]
+    fn next_from_crosses_words() {
+        let s: BitSet = [3, 64, 200].into_iter().collect();
+        assert_eq!(s.next_from(0), Some(3));
+        assert_eq!(s.next_from(3), Some(3));
+        assert_eq!(s.next_from(4), Some(64));
+        assert_eq!(s.next_from(65), Some(200));
+        assert_eq!(s.next_from(201), None);
+        assert_eq!(s.next_from(10_000), None);
+    }
+
+    #[test]
+    fn remove_range_clears_exactly_the_range() {
+        let all: Vec<usize> = (0..300).collect();
+        for (lo, hi) in [(0, 0), (5, 6), (0, 64), (60, 130), (63, 257), (100, 1000)] {
+            let mut s: BitSet = all.iter().copied().collect();
+            s.remove_range(lo, hi);
+            let want: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|b| !(lo..hi).contains(b))
+                .collect();
+            assert_eq!(s.iter().collect::<Vec<_>>(), want, "[{lo}, {hi})");
+        }
     }
 
     #[test]

@@ -264,12 +264,15 @@ impl Efsm {
                 _ => {}
             }
         }
-        // Acyclicity per state graph (iterative DFS with colors).
+        // Acyclicity per state graph (iterative DFS with colors). Colors
+        // carry over between states: a node finished (black) under an
+        // earlier state reaches no cycle, or that state would have
+        // failed.
+        let mut color = vec![0u8; self.nodes.len()]; // 0 white, 1 gray, 2 black
         for (si, st) in self.states.iter().enumerate() {
             if st.root.0 as usize >= self.nodes.len() {
                 return Err(format!("state {si} has missing root node"));
             }
-            let mut color = vec![0u8; self.nodes.len()]; // 0 white, 1 gray, 2 black
             let mut stack = vec![(st.root, false)];
             while let Some((id, leaving)) = stack.pop() {
                 let c = &mut color[id.0 as usize];
@@ -300,27 +303,41 @@ impl Efsm {
 
     /// Summary statistics for reporting and the cost model.
     pub fn stats(&self) -> EfsmStats {
-        let mut live: HashSet<NodeId> = HashSet::new();
-        for st in &self.states {
-            live.extend(sgraph::reachable_nodes(&self.nodes, st.root));
-        }
         let mut s = EfsmStats {
             states: self.states.len() as u32,
             ..EfsmStats::default()
         };
-        for id in &live {
-            match self.nodes[id.0 as usize] {
-                Node::Test { .. } => s.tests += 1,
-                Node::TestPred { .. } => s.pred_tests += 1,
-                Node::Do { .. } => s.actions += 1,
-                Node::Emit { .. } => s.emits += 1,
-                Node::Goto { .. } => s.gotos += 1,
+        // Nodes live in any state, and the last state that visited
+        // each node: one walk per state decides its purity and counts
+        // each live node once.
+        let mut live = vec![false; self.nodes.len()];
+        let mut seen = vec![u32::MAX; self.nodes.len()];
+        let mut stack = Vec::new();
+        for (si, st) in self.states.iter().enumerate() {
+            let si = si as u32;
+            let mut pure = true;
+            stack.push(st.root);
+            while let Some(id) = stack.pop() {
+                let i = id.0 as usize;
+                if std::mem::replace(&mut seen[i], si) == si {
+                    continue;
+                }
+                let node = &self.nodes[i];
+                pure &= node.is_pure();
+                if !std::mem::replace(&mut live[i], true) {
+                    s.nodes += 1;
+                    match node {
+                        Node::Test { .. } => s.tests += 1,
+                        Node::TestPred { .. } => s.pred_tests += 1,
+                        Node::Do { .. } => s.actions += 1,
+                        Node::Emit { .. } => s.emits += 1,
+                        Node::Goto { .. } => s.gotos += 1,
+                    }
+                }
+                stack.extend(node.successors());
             }
+            s.pure_states += u32::from(pure);
         }
-        s.nodes = live.len() as u32;
-        s.pure_states = (0..self.states.len())
-            .filter(|&i| self.state_is_pure(StateId(i as u32)))
-            .count() as u32;
         s
     }
 

@@ -59,14 +59,25 @@ pub enum Node {
 }
 
 impl Node {
-    /// The node ids this node points to.
-    pub fn successors(&self) -> Vec<NodeId> {
-        match self {
+    /// The node ids this node points to (`then_` before `else_`).
+    pub fn successors(&self) -> impl Iterator<Item = NodeId> {
+        let (first, second) = match *self {
             Node::Test { then_, else_, .. } | Node::TestPred { then_, else_, .. } => {
-                vec![*then_, *else_]
+                (Some(then_), Some(else_))
             }
-            Node::Do { next, .. } | Node::Emit { next, .. } => vec![*next],
-            Node::Goto { .. } => vec![],
+            Node::Do { next, .. } | Node::Emit { next, .. } => (Some(next), None),
+            Node::Goto { .. } => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Is this node pure control: a presence test, a presence-only emit
+    /// or a goto (no data predicate, action or valued emit)?
+    pub fn is_pure(&self) -> bool {
+        match *self {
+            Node::Test { .. } | Node::Goto { .. } => true,
+            Node::Emit { value, .. } => value.is_none(),
+            Node::TestPred { .. } | Node::Do { .. } => false,
         }
     }
 
@@ -195,10 +206,16 @@ mod tests {
             then_: NodeId(1),
             else_: NodeId(2),
         };
-        assert_eq!(n.successors(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(
+            n.successors().collect::<Vec<_>>(),
+            vec![NodeId(1), NodeId(2)]
+        );
         let m = n.map_successors(|i| NodeId(i.0 + 10));
-        assert_eq!(m.successors(), vec![NodeId(11), NodeId(12)]);
-        assert_eq!(goto(3).successors(), vec![]);
+        assert_eq!(
+            m.successors().collect::<Vec<_>>(),
+            vec![NodeId(11), NodeId(12)]
+        );
+        assert_eq!(goto(3).successors().count(), 0);
     }
 
     #[test]

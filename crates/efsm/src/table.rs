@@ -596,11 +596,7 @@ impl Efsm {
         let root = self.states[state.0 as usize].root;
         crate::sgraph::reachable_nodes(&self.nodes, root)
             .iter()
-            .all(|id| match self.nodes[id.0 as usize] {
-                Node::Test { .. } | Node::Goto { .. } => true,
-                Node::Emit { value, .. } => value.is_none(),
-                Node::TestPred { .. } | Node::Do { .. } => false,
-            })
+            .all(|id| self.nodes[id.0 as usize].is_pure())
     }
 }
 

@@ -19,11 +19,11 @@
 //! reading a variable written earlier in the same instant sits *below*
 //! the corresponding `Do` node).
 
-use crate::engine::{Engine, ExecOut, Sem};
-use crate::ir::{Program, StmtId, Tri};
+use crate::engine::{Engine, ExecOut, NodeCounts, Sem};
+use crate::ir::{Node, Program, StmtId, Tri};
+use ecl_syntax::FxHashMap;
 use efsm::sgraph::{Node as ENode, NodeId};
 use efsm::{ActionId, BitSet, Efsm, ExprId, PredId, SigKind, Signal, StateId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Options controlling compilation.
@@ -137,28 +137,32 @@ struct Compiler<'p> {
     prog: &'p Program,
     opts: &'p CompileOptions,
     efsm: Efsm,
-    ids: HashMap<StateKey, StateId>,
+    ids: FxHashMap<StateKey, StateId>,
     work: Vec<StateKey>,
     report: CompileReport,
+    /// Scratch of the symbolic runs, reused by every run.
+    sem: SymSem<'p>,
+    /// The engine's occurrence counters, reused by every pass.
+    occ: NodeCounts,
+    /// Event prefixes of the runs on the current decision path, waiting
+    /// to be chained above their subtrees (a stack: each `build` frame
+    /// pushes its own and truncates back).
+    prefixes: Vec<Ev>,
 }
 
 /// One linear event along a symbolic run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Do(ActionId),
     Emit(Signal, Option<ExprId>),
 }
 
-/// What a symbolic run needs next, if anything.
+/// What a symbolic run needs next, if anything. Its events are in
+/// [`SymSem::events`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum RunOut {
-    /// Blocked at a choice: events so far, plus the choice kind (and
-    /// the predicate id for `Choice::Pred` keys).
-    Need {
-        prefix_len: usize,
-        choice: Choice,
-        pred: Option<PredId>,
-    },
+    /// Blocked at a choice: events so far, plus the choice kind.
+    Need { prefix_len: usize, choice: Choice },
     /// Completed.
     Done {
         events_len: usize,
@@ -168,7 +172,7 @@ enum RunOut {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Choice {
     /// Fork on an environment input: becomes a `Test` node.
     Input(Signal),
@@ -185,45 +189,59 @@ enum Choice {
 /// blocked on, so no oracle entry is needed for them. Only choices that
 /// remain unresolved after a quiescent pass become oracle entries — and
 /// hence `Test`/`TestPred` nodes or internal guesses.
+///
+/// One `SymSem` serves every run of a compilation: [`SymSem::reset`]
+/// clears its buffers without freeing them.
 struct SymSem<'a> {
     prog: &'a Program,
-    oracle: &'a HashMap<Choice, bool>,
+    /// The choices fixed on the current decision path, outermost first
+    /// (a stack: `build` pushes a choice around each subtree).
+    oracle: Vec<(Choice, bool)>,
     status: Vec<Tri>,
     emitted: BitSet,
     /// Journaled events: recorded once per (node, occurrence).
     events: Vec<Ev>,
-    recorded: std::collections::HashSet<(StmtId, u32)>,
+    /// Per node, how many of its occurrences are journaled. A pass
+    /// visits a node's occurrences in order 0, 1, 2…, so the journaled
+    /// ones are always a prefix.
+    recorded: NodeCounts,
     /// Choices requested this pass but absent from the oracle, with the
     /// event-prefix length at first encounter.
     needs: Vec<(Choice, usize)>,
-    /// Predicate ids by occurrence key (for `TestPred` nodes).
-    pred_ids: HashMap<(StmtId, u32), PredId>,
     incoherent: bool,
 }
 
 impl<'a> SymSem<'a> {
-    fn new(prog: &'a Program, oracle: &'a HashMap<Choice, bool>) -> Self {
-        let mut status = vec![Tri::Unknown; prog.signals().len()];
+    fn new(prog: &'a Program) -> Self {
+        SymSem {
+            prog,
+            oracle: Vec::new(),
+            status: Vec::new(),
+            emitted: BitSet::new(),
+            events: Vec::new(),
+            recorded: NodeCounts::new(prog),
+            needs: Vec::new(),
+            incoherent: false,
+        }
+    }
+
+    /// Start a run under the current oracle.
+    fn reset(&mut self) {
+        self.status.clear();
+        self.status.resize(self.prog.signals().len(), Tri::Unknown);
         // Pre-apply oracle entries for signals.
-        for (c, v) in oracle {
+        for (c, v) in &self.oracle {
             match c {
                 Choice::Input(s) | Choice::Internal(s) => {
-                    status[s.0 as usize] = if *v { Tri::True } else { Tri::False };
+                    self.status[s.0 as usize] = if *v { Tri::True } else { Tri::False };
                 }
                 Choice::Pred(_, _) => {}
             }
         }
-        SymSem {
-            prog,
-            oracle,
-            status,
-            emitted: BitSet::new(),
-            events: Vec::new(),
-            recorded: std::collections::HashSet::new(),
-            needs: Vec::new(),
-            pred_ids: HashMap::new(),
-            incoherent: false,
-        }
+        self.emitted.clear();
+        self.events.clear();
+        self.recorded.clear();
+        self.incoherent = false;
     }
 
     fn known(&self) -> usize {
@@ -233,6 +251,15 @@ impl<'a> SymSem<'a> {
     fn note_need(&mut self, c: Choice) {
         if !self.needs.iter().any(|(n, _)| *n == c) {
             self.needs.push((c, self.events.len()));
+        }
+    }
+
+    /// Journal the event at `at` unless an earlier pass of this run
+    /// already did.
+    fn record(&mut self, at: (StmtId, u32), ev: Ev) {
+        if at.1 >= self.recorded.get(at.0) {
+            self.recorded.set(at.0, at.1 + 1);
+            self.events.push(ev);
         }
     }
 }
@@ -253,10 +280,9 @@ impl<'a> Sem for &mut SymSem<'a> {
         self.note_need(choice);
     }
 
-    fn pred(&mut self, at: (StmtId, u32), p: PredId) -> Option<bool> {
+    fn pred(&mut self, at: (StmtId, u32), _p: PredId) -> Option<bool> {
         let key = Choice::Pred(at.0, at.1);
-        self.pred_ids.insert((at.0, at.1), p);
-        if let Some(v) = self.oracle.get(&key) {
+        if let Some((_, v)) = self.oracle.iter().find(|(c, _)| *c == key) {
             return Some(*v);
         }
         self.note_need(key);
@@ -264,9 +290,7 @@ impl<'a> Sem for &mut SymSem<'a> {
     }
 
     fn action(&mut self, at: (StmtId, u32), a: ActionId) {
-        if self.recorded.insert(at) {
-            self.events.push(Ev::Do(a));
-        }
+        self.record(at, Ev::Do(a));
     }
 
     fn emit(&mut self, at: (StmtId, u32), s: Signal, value: Option<ExprId>) -> bool {
@@ -277,9 +301,7 @@ impl<'a> Sem for &mut SymSem<'a> {
         }
         self.status[s.0 as usize] = Tri::True;
         self.emitted.insert(s.0 as usize);
-        if self.recorded.insert(at) {
-            self.events.push(Ev::Emit(s, value));
-        }
+        self.record(at, Ev::Emit(s, value));
         true
     }
 }
@@ -294,9 +316,12 @@ impl<'p> Compiler<'p> {
             prog,
             opts,
             efsm,
-            ids: HashMap::new(),
+            ids: FxHashMap::default(),
             work: Vec::new(),
             report: CompileReport::default(),
+            sem: SymSem::new(prog),
+            occ: NodeCounts::new(prog),
+            prefixes: Vec::new(),
         }
     }
 
@@ -345,69 +370,54 @@ impl<'p> Compiler<'p> {
         Ok((self.efsm, self.report))
     }
 
-    /// Execute one symbolic run for state `key` under `oracle`,
-    /// iterating fixpoint passes until quiescence.
-    fn sym_run(
-        &mut self,
-        key: &StateKey,
-        oracle: &HashMap<Choice, bool>,
-    ) -> Result<(RunOut, Vec<Ev>), CompileError> {
+    /// Execute one symbolic run for state `key` under the oracle,
+    /// iterating fixpoint passes until quiescence. The run's events are
+    /// left in `self.sem.events`.
+    fn sym_run(&mut self, key: &StateKey) -> Result<RunOut, CompileError> {
         self.report.runs += 1;
+        self.sem.reset();
+        let none = BitSet::new();
         let (start, sel) = match key {
-            None => (true, BitSet::new()),
-            Some(sel) => (false, sel.clone()),
-        };
-        if let Some(sel) = key {
-            if sel.is_empty() {
+            None => (true, &none),
+            Some(sel) if sel.is_empty() => {
                 // Dead state: stays dead, no behavior.
-                return Ok((
-                    RunOut::Done {
-                        events_len: 0,
-                        code: 0,
-                        next_sel: BitSet::new(),
-                        coherent: true,
-                    },
-                    Vec::new(),
-                ));
+                return Ok(RunOut::Done {
+                    events_len: 0,
+                    code: 0,
+                    next_sel: BitSet::new(),
+                    coherent: true,
+                });
             }
-        }
-        let mut sem = SymSem::new(self.prog, oracle);
+            Some(sel) => (false, sel),
+        };
         let mut last_known = usize::MAX;
         loop {
-            sem.needs.clear();
-            let mut engine = Engine::new(self.prog, &sel, &mut sem);
+            self.sem.needs.clear();
+            let mut engine = Engine::new(self.prog, sel, &mut self.occ, &mut self.sem);
             let out = engine.exec(self.prog.root(), start);
+            let sem = &self.sem;
             match out {
                 ExecOut::Failed(_) => {
-                    return Ok((
-                        RunOut::Done {
-                            events_len: sem.events.len(),
-                            code: 0,
-                            next_sel: BitSet::new(),
-                            coherent: false,
-                        },
-                        sem.events,
-                    ));
+                    return Ok(RunOut::Done {
+                        events_len: sem.events.len(),
+                        code: 0,
+                        next_sel: BitSet::new(),
+                        coherent: false,
+                    });
                 }
                 ExecOut::Done { code, pauses } => {
                     // Validate assumed-present internals were emitted.
-                    let mut coherent = !sem.incoherent;
-                    for (c, v) in oracle {
-                        if let Choice::Internal(sig) = c {
-                            if *v && !sem.emitted.contains(sig.0 as usize) {
-                                coherent = false;
-                            }
-                        }
-                    }
-                    return Ok((
-                        RunOut::Done {
-                            events_len: sem.events.len(),
-                            code,
-                            next_sel: pauses.normalized(),
-                            coherent,
-                        },
-                        sem.events,
-                    ));
+                    let coherent = !sem.incoherent
+                        && sem.oracle.iter().all(|(c, v)| match c {
+                            Choice::Internal(sig) => !*v || sem.emitted.contains(sig.0 as usize),
+                            _ => true,
+                        });
+                    return Ok(RunOut::Done {
+                        events_len: sem.events.len(),
+                        code,
+                        next_sel: pauses.normalized(),
+                        coherent,
+                    });
                 }
                 ExecOut::Blocked => {
                     let known = sem.known();
@@ -425,23 +435,12 @@ impl<'p> Compiler<'p> {
                         .find(|(c, _)| !matches!(c, Choice::Internal(_)))
                         .or_else(|| sem.needs.first())
                         .copied();
-                    let Some((choice, prefix)) = pick else {
+                    let Some((choice, prefix_len)) = pick else {
                         return Err(CompileError::Internal(
                             "blocked without a recorded choice".into(),
                         ));
                     };
-                    let pred = match choice {
-                        Choice::Pred(id, occ) => sem.pred_ids.get(&(id, occ)).copied(),
-                        _ => None,
-                    };
-                    return Ok((
-                        RunOut::Need {
-                            prefix_len: prefix,
-                            choice,
-                            pred,
-                        },
-                        sem.events,
-                    ));
+                    return Ok(RunOut::Need { prefix_len, choice });
                 }
             }
         }
@@ -450,8 +449,7 @@ impl<'p> Compiler<'p> {
     /// Build the s-graph for one control state.
     fn expand(&mut self, key: &StateKey) -> Result<NodeId, CompileError> {
         let mut runs = 0usize;
-        let mut oracle: HashMap<Choice, bool> = HashMap::new();
-        let out = self.build(key, &mut oracle, 0, &mut runs)?;
+        let out = self.build(key, 0, &mut runs)?;
         match out {
             Some(node) => Ok(node),
             None => Err(CompileError::NoCoherentBehavior {
@@ -463,14 +461,14 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    /// Recursive decision-tree construction. `skip` is the number of
-    /// events already materialized by ancestors. Returns `None` when no
-    /// coherent completion exists under this oracle (backtracking point
-    /// for internal-signal guesses).
+    /// Recursive decision-tree construction under the oracle in
+    /// `self.sem`. `skip` is the number of events already materialized
+    /// by ancestors. Returns `None` when no coherent completion exists
+    /// under this oracle (backtracking point for internal-signal
+    /// guesses).
     fn build(
         &mut self,
         key: &StateKey,
-        oracle: &mut HashMap<Choice, bool>,
         skip: usize,
         runs: &mut usize,
     ) -> Result<Option<NodeId>, CompileError> {
@@ -480,8 +478,7 @@ impl<'p> Compiler<'p> {
                 limit: self.opts.max_runs_per_state,
             });
         }
-        let (out, events) = self.sym_run(key, oracle)?;
-        match out {
+        match self.sym_run(key)? {
             RunOut::Done {
                 events_len,
                 code,
@@ -497,31 +494,32 @@ impl<'p> Compiler<'p> {
                     Some(next_sel)
                 };
                 let target = self.state_id(next_key);
-                let mut node = self.efsm.add_node(ENode::Goto { target });
-                for ev in events[skip..events_len].iter().rev() {
-                    node = self.chain(ev, node);
-                }
-                Ok(Some(node))
+                let node = self.efsm.add_node(ENode::Goto { target });
+                Ok(Some(chain(
+                    &mut self.efsm,
+                    &self.sem.events[skip..events_len],
+                    node,
+                )))
             }
-            RunOut::Need {
-                prefix_len,
-                choice,
-                pred,
-            } => {
+            RunOut::Need { prefix_len, choice } => {
+                // The subtrees' runs reuse the event buffer: keep this
+                // run's prefix aside until the subtree is built.
+                let base = self.prefixes.len();
+                self.prefixes
+                    .extend_from_slice(&self.sem.events[skip..prefix_len]);
                 let sub = |me: &mut Self,
-                           oracle: &mut HashMap<Choice, bool>,
                            v: bool,
                            runs: &mut usize|
                  -> Result<Option<NodeId>, CompileError> {
-                    oracle.insert(choice, v);
-                    let r = me.build(key, oracle, prefix_len, runs);
-                    oracle.remove(&choice);
+                    me.sem.oracle.push((choice, v));
+                    let r = me.build(key, prefix_len, runs);
+                    me.sem.oracle.pop();
                     r
                 };
                 let inner = match choice {
                     Choice::Input(sig) => {
-                        let f = sub(self, oracle, false, runs)?;
-                        let t = sub(self, oracle, true, runs)?;
+                        let f = sub(self, false, runs)?;
+                        let t = sub(self, true, runs)?;
                         match (t, f) {
                             (Some(t), Some(f)) => Some(self.efsm.add_node(ENode::Test {
                                 sig,
@@ -534,15 +532,17 @@ impl<'p> Compiler<'p> {
                             _ => None,
                         }
                     }
-                    Choice::Pred(_, _) => {
-                        let p = pred.ok_or_else(|| {
-                            CompileError::Internal("pred choice without id".into())
-                        })?;
-                        let f = sub(self, oracle, false, runs)?;
-                        let t = sub(self, oracle, true, runs)?;
+                    Choice::Pred(id, _) => {
+                        let Node::IfData(pred, _, _) = *self.prog.node(id) else {
+                            return Err(CompileError::Internal(
+                                "pred choice off a data branch".into(),
+                            ));
+                        };
+                        let f = sub(self, false, runs)?;
+                        let t = sub(self, true, runs)?;
                         match (t, f) {
                             (Some(t), Some(f)) => Some(self.efsm.add_node(ENode::TestPred {
-                                pred: p,
+                                pred,
                                 then_: t,
                                 else_: f,
                             })),
@@ -556,41 +556,34 @@ impl<'p> Compiler<'p> {
                     }
                     Choice::Internal(_) => {
                         // Guess: prefer the absence-minimal behavior.
-                        match sub(self, oracle, false, runs)? {
+                        match sub(self, false, runs)? {
                             Some(f) => Some(f),
                             None => {
                                 self.report.ambiguous_choices += 1;
-                                sub(self, oracle, true, runs)?
+                                sub(self, true, runs)?
                             }
                         }
                     }
                 };
-                match inner {
-                    Some(node) => {
-                        let mut node = node;
-                        for ev in events[skip..prefix_len].iter().rev() {
-                            node = self.chain(ev, node);
-                        }
-                        Ok(Some(node))
-                    }
-                    None => Ok(None),
-                }
+                let node = inner.map(|node| chain(&mut self.efsm, &self.prefixes[base..], node));
+                self.prefixes.truncate(base);
+                Ok(node)
             }
         }
     }
-
-    /// Prepend one event node.
-    fn chain(&mut self, ev: &Ev, next: NodeId) -> NodeId {
-        match ev {
-            Ev::Do(a) => self.efsm.add_node(ENode::Do { action: *a, next }),
-            Ev::Emit(s, v) => self.efsm.add_node(ENode::Emit {
-                sig: *s,
-                value: *v,
-                next,
-            }),
-        }
-    }
 }
+
+/// Prepend `events` (in order) above `next`.
+fn chain(efsm: &mut Efsm, events: &[Ev], mut next: NodeId) -> NodeId {
+    for ev in events.iter().rev() {
+        next = match *ev {
+            Ev::Do(action) => efsm.add_node(ENode::Do { action, next }),
+            Ev::Emit(sig, value) => efsm.add_node(ENode::Emit { sig, value, next }),
+        };
+    }
+    next
+}
+
 impl From<CompileError> for ecl_syntax::EclError {
     fn from(e: CompileError) -> Self {
         ecl_syntax::EclError::msg(

@@ -17,7 +17,6 @@
 
 use crate::ir::{Node, Program, SigExpr, StmtId, Tri};
 use efsm::{ActionId, BitSet, ExprId, PredId, Signal};
-use std::collections::HashMap;
 
 /// Resolution callbacks for one instant.
 pub trait Sem {
@@ -66,33 +65,102 @@ pub enum ExecFailure {
     InconsistentEmission(Signal),
 }
 
+/// One `u32` per program node, all reset to 0 by [`NodeCounts::clear`]
+/// in O(1): each slot carries the epoch it was written in, and a slot
+/// from an earlier epoch reads as 0. Drivers keep one across passes and
+/// runs, so a pass costs only the nodes it visits.
+#[derive(Debug, Clone)]
+pub struct NodeCounts {
+    /// `(epoch, count)` per node.
+    slots: Vec<(u32, u32)>,
+    epoch: u32,
+}
+
+impl NodeCounts {
+    /// Counters for every node of `prog`, all 0.
+    pub fn new(prog: &Program) -> Self {
+        NodeCounts {
+            slots: vec![(0, 0); prog.size()],
+            epoch: 1,
+        }
+    }
+
+    /// Reset every counter to 0.
+    pub fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stale slots could alias the new epoch.
+            self.slots.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    /// The counter of `id`.
+    pub fn get(&self, id: StmtId) -> u32 {
+        match self.slots[id.0 as usize] {
+            (e, c) if e == self.epoch => c,
+            _ => 0,
+        }
+    }
+
+    /// Set the counter of `id`.
+    pub fn set(&mut self, id: StmtId, v: u32) {
+        self.slots[id.0 as usize] = (self.epoch, v);
+    }
+}
+
 /// One execution pass over the program.
 pub struct Engine<'p, S: Sem> {
     prog: &'p Program,
     /// Selection (active pauses) from the previous instant.
     sel: &'p BitSet,
     /// Per-node visit counters for this pass.
-    occ: HashMap<StmtId, u32>,
+    occ: &'p mut NodeCounts,
+    /// Pauses selected so far for the next instant.
+    pauses: BitSet,
     /// The driver's resolution strategy.
     pub sem: S,
 }
 
+/// How a subtree's execution ended; its selected pauses are in the
+/// engine's `pauses`.
+enum Flow {
+    /// Berry completion code: 0 terminated, 1 paused, k≥2 exit.
+    Done(u32),
+    Blocked,
+    Failed(ExecFailure),
+}
+
 impl<'p, S: Sem> Engine<'p, S> {
-    /// Create an engine for one pass.
-    pub fn new(prog: &'p Program, sel: &'p BitSet, sem: S) -> Self {
+    /// Create an engine for one pass; `occ` (sized for `prog`) is
+    /// cleared and counts this pass's visits.
+    pub fn new(prog: &'p Program, sel: &'p BitSet, occ: &'p mut NodeCounts, sem: S) -> Self {
+        occ.clear();
         Engine {
             prog,
             sel,
-            occ: HashMap::new(),
+            occ,
+            pauses: BitSet::new(),
             sem,
         }
     }
 
     fn next_occ(&mut self, id: StmtId) -> u32 {
-        let c = self.occ.entry(id).or_insert(0);
-        let v = *c;
-        *c += 1;
+        let v = self.occ.get(id);
+        self.occ.set(id, v + 1);
         v
+    }
+
+    /// Index of the child of a `Seq` at `id` holding the selection: the
+    /// children's pause ranges are consecutive and ordered, so it is the
+    /// child whose range holds the sequence's lowest selected pause.
+    fn selected_child(&self, id: StmtId, children: &[StmtId]) -> Option<usize> {
+        let m = self.prog.meta(id);
+        let p = self
+            .sel
+            .next_from(m.pause_lo as usize)
+            .filter(|p| *p < m.pause_hi as usize)?;
+        Some(children.partition_point(|c| self.prog.meta(*c).pause_hi as usize <= p))
     }
 
     /// Evaluate a signal expression three-valued. On Unknown, the first
@@ -116,148 +184,118 @@ impl<'p, S: Sem> Engine<'p, S> {
         }
     }
 
-    /// Execute node `id`; `start` selects start vs. resume mode.
-    pub fn exec(&mut self, id: StmtId, start: bool) -> ExecOut {
-        use ExecOut::*;
-        match self.prog.node(id).clone() {
-            Node::Nothing => Done {
-                code: 0,
-                pauses: BitSet::new(),
+    /// Execute the program from `root`; `start` selects start vs.
+    /// resume mode.
+    pub fn exec(&mut self, root: StmtId, start: bool) -> ExecOut {
+        self.pauses.clear();
+        match self.run(root, start) {
+            Flow::Done(code) => ExecOut::Done {
+                code,
+                pauses: std::mem::take(&mut self.pauses),
             },
-            Node::Pause(p) => {
+            Flow::Blocked => ExecOut::Blocked,
+            Flow::Failed(f) => ExecOut::Failed(f),
+        }
+    }
+
+    /// Execute node `id`, adding the pauses it selects to `self.pauses`.
+    /// A subtree that terminates (code 0) leaves none behind.
+    fn run(&mut self, id: StmtId, start: bool) -> Flow {
+        use Flow::*;
+        let prog = self.prog;
+        match prog.node(id) {
+            Node::Nothing => Done(0),
+            &Node::Pause(p) => {
                 if start {
-                    let mut b = BitSet::new();
-                    b.insert(p as usize);
-                    Done { code: 1, pauses: b }
+                    self.pauses.insert(p as usize);
+                    Done(1)
                 } else {
                     // Resumed ⇒ this pause was selected ⇒ it terminates.
-                    Done {
-                        code: 0,
-                        pauses: BitSet::new(),
-                    }
+                    Done(0)
                 }
             }
-            Node::Emit(s, value) => {
+            &Node::Emit(s, value) => {
                 let occ = self.next_occ(id);
                 if self.sem.emit((id, occ), s, value) {
-                    Done {
-                        code: 0,
-                        pauses: BitSet::new(),
-                    }
+                    Done(0)
                 } else {
                     Failed(ExecFailure::InconsistentEmission(s))
                 }
             }
-            Node::Present(cond, t, e) => {
+            &Node::Present(ref cond, t, e) => {
                 if start {
-                    match self.eval_expr(&cond) {
-                        Some(true) => self.exec(t, true),
-                        Some(false) => self.exec(e, true),
+                    match self.eval_expr(cond) {
+                        Some(true) => self.run(t, true),
+                        Some(false) => self.run(e, true),
                         None => Blocked,
                     }
-                } else {
+                } else if prog.selected(t, self.sel) {
                     // Resume the branch holding the selection; the test
                     // is not re-evaluated.
-                    if self.prog.selected(t, self.sel) {
-                        self.exec(t, false)
-                    } else {
-                        self.exec(e, false)
-                    }
+                    self.run(t, false)
+                } else {
+                    self.run(e, false)
                 }
             }
-            Node::IfData(p, t, e) => {
+            &Node::IfData(p, t, e) => {
                 if start {
                     let occ = self.next_occ(id);
                     match self.sem.pred((id, occ), p) {
-                        Some(true) => self.exec(t, true),
-                        Some(false) => self.exec(e, true),
+                        Some(true) => self.run(t, true),
+                        Some(false) => self.run(e, true),
                         None => Blocked,
                     }
-                } else if self.prog.selected(t, self.sel) {
-                    self.exec(t, false)
+                } else if prog.selected(t, self.sel) {
+                    self.run(t, false)
                 } else {
-                    self.exec(e, false)
+                    self.run(e, false)
                 }
             }
-            Node::Action(a) => {
+            &Node::Action(a) => {
                 let occ = self.next_occ(id);
                 self.sem.action((id, occ), a);
-                Done {
-                    code: 0,
-                    pauses: BitSet::new(),
-                }
+                Done(0)
             }
             Node::Seq(children) => {
                 let mut idx = 0;
                 let mut mode_start = start;
                 if !start {
-                    // Find the child holding the selection.
-                    match children
-                        .iter()
-                        .position(|c| self.prog.selected(*c, self.sel))
-                    {
+                    match self.selected_child(id, children) {
                         Some(i) => idx = i,
-                        None => {
-                            // Selection vanished (should not happen).
-                            return Done {
-                                code: 0,
-                                pauses: BitSet::new(),
-                            };
-                        }
+                        // Selection vanished (should not happen).
+                        None => return Done(0),
                     }
-                    mode_start = false;
                 }
-                while idx < children.len() {
-                    match self.exec(children[idx], mode_start) {
-                        Done { code: 0, .. } => {
-                            idx += 1;
-                            mode_start = true;
-                        }
+                for &c in &children[idx..] {
+                    match self.run(c, mode_start) {
+                        Done(0) => mode_start = true,
                         other => return other,
                     }
                 }
-                Done {
-                    code: 0,
-                    pauses: BitSet::new(),
-                }
+                Done(0)
             }
-            Node::Loop(body) => {
-                let first = self.exec(body, start);
-                match first {
-                    Done { code: 0, .. } => {
-                        // Body finished within the instant: restart once.
-                        match self.exec(body, true) {
-                            Done { code: 0, .. } => Failed(ExecFailure::InstantaneousLoop),
-                            other => other,
-                        }
-                    }
+            &Node::Loop(body) => match self.run(body, start) {
+                // Body finished within the instant: restart once.
+                Done(0) => match self.run(body, true) {
+                    Done(0) => Failed(ExecFailure::InstantaneousLoop),
                     other => other,
-                }
-            }
+                },
+                other => other,
+            },
             Node::Par(children) => {
                 let mut blocked = false;
                 let mut code = 0u32;
-                let mut pauses = BitSet::new();
-                for c in children {
-                    let child_out = if start {
-                        self.exec(c, true)
-                    } else if self.prog.selected(c, self.sel) {
-                        self.exec(c, false)
+                for &c in children {
+                    let child = if start {
+                        self.run(c, true)
+                    } else if prog.selected(c, self.sel) {
+                        self.run(c, false)
                     } else {
                         // Terminated in an earlier instant.
-                        Done {
-                            code: 0,
-                            pauses: BitSet::new(),
-                        }
+                        Done(0)
                     };
-                    match child_out {
-                        Done {
-                            code: c2,
-                            pauses: p2,
-                        } => {
-                            code = code.max(c2);
-                            pauses.union_with(&p2);
-                        }
+                    match child {
+                        Done(c2) => code = code.max(c2),
                         Blocked => blocked = true,
                         Failed(f) => return Failed(f),
                     }
@@ -265,46 +303,38 @@ impl<'p, S: Sem> Engine<'p, S> {
                 if blocked {
                     Blocked
                 } else {
-                    Done { code, pauses }
+                    Done(code)
                 }
             }
-            Node::Trap(body) => match self.exec(body, start) {
-                Done { code: 2, .. } => Done {
+            &Node::Trap(body) => match self.run(body, start) {
+                Done(2) => {
                     // Caught: the whole body is killed, pauses dropped.
-                    code: 0,
-                    pauses: BitSet::new(),
-                },
-                Done { code, pauses } if code > 2 => Done {
-                    code: code - 1,
-                    pauses,
-                },
+                    let m = prog.meta(body);
+                    self.pauses
+                        .remove_range(m.pause_lo as usize, m.pause_hi as usize);
+                    Done(0)
+                }
+                Done(code) if code > 2 => Done(code - 1),
                 other => other,
             },
-            Node::Exit(d) => Done {
-                code: d + 2,
-                pauses: BitSet::new(),
-            },
-            Node::Suspend(guard, body) => {
+            &Node::Exit(d) => Done(d + 2),
+            &Node::Suspend(ref guard, body) => {
                 if start {
                     // The guard is not tested in the starting instant.
-                    self.exec(body, true)
+                    self.run(body, true)
                 } else {
-                    match self.eval_expr(&guard) {
+                    match self.eval_expr(guard) {
                         Some(true) => {
                             // Frozen: keep the body's current selection.
-                            let m = self.prog.meta(body);
-                            let mut kept = BitSet::new();
-                            for b in self.sel.iter() {
-                                if b >= m.pause_lo as usize && b < m.pause_hi as usize {
-                                    kept.insert(b);
-                                }
+                            let m = prog.meta(body);
+                            let mut b = self.sel.next_from(m.pause_lo as usize);
+                            while let Some(p) = b.filter(|p| *p < m.pause_hi as usize) {
+                                self.pauses.insert(p);
+                                b = self.sel.next_from(p + 1);
                             }
-                            Done {
-                                code: 1,
-                                pauses: kept,
-                            }
+                            Done(1)
                         }
-                        Some(false) => self.exec(body, false),
+                        Some(false) => self.run(body, false),
                         None => Blocked,
                     }
                 }
@@ -339,7 +369,3 @@ fn first_unknown_with<S: Sem>(e: &SigExpr, sem: &mut S) -> Option<Signal> {
         }
     }
 }
-
-/// Suppress unused warnings for ids used only through trait calls.
-#[allow(dead_code)]
-fn _phantom(_: ActionId, _: PredId) {}

@@ -17,7 +17,7 @@
 //! and the compiled machine identically — one journal entry per hook
 //! call either way.
 
-use crate::engine::{Engine, ExecFailure, ExecOut, Sem};
+use crate::engine::{Engine, ExecFailure, ExecOut, NodeCounts, Sem};
 use crate::ir::{Node, Program, SigExpr, StmtId, Tri};
 use efsm::{ActionId, BitSet, DataHooks, ExprId, PredId, SigKind, Signal};
 use std::collections::{HashMap, HashSet};
@@ -92,6 +92,8 @@ pub struct Machine<'p> {
     pub passes: u64,
     /// Unknown-signal count after the previous pass (progress check).
     last_unknowns: usize,
+    /// The engine's occurrence counters, reused by every pass.
+    occ: NodeCounts,
 }
 
 /// Per-pass semantics implementation for the interpreter.
@@ -160,6 +162,7 @@ impl<'p> Machine<'p> {
             dead: false,
             passes: 0,
             last_unknowns: usize::MAX,
+            occ: NodeCounts::new(prog),
         }
     }
 
@@ -239,7 +242,7 @@ impl<'p> Machine<'p> {
                 hooks,
                 violated: &mut violated,
             };
-            let mut engine = Engine::new(self.prog, &self.sel, sem);
+            let mut engine = Engine::new(self.prog, &self.sel, &mut self.occ, sem);
             let out = engine.exec(self.prog.root(), start);
             match out {
                 ExecOut::Done { code, pauses } => {
