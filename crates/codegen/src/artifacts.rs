@@ -114,16 +114,9 @@ impl Artifacts {
     ///
     /// [`EclError`] with stage `codegen`.
     pub fn require_verilog(&self) -> Result<&str, EclError> {
-        self.verilog.as_deref().ok_or_else(|| {
-            EclError::msg(
-                Stage::Codegen,
-                format!(
-                    "design `{}` has no hardware option (data-dominated machine)",
-                    self.entry
-                ),
-                Span::dummy(),
-            )
-        })
+        self.verilog
+            .as_deref()
+            .ok_or_else(|| no_hardware_option(&self.entry))
     }
 
     /// Gate estimate for the control structure.
@@ -141,6 +134,15 @@ impl Artifacts {
     pub fn diagnostics(&self) -> &Diagnostics {
         &self.diags
     }
+}
+
+/// The error for a design `entry` whose machine has no Verilog form.
+fn no_hardware_option(entry: &str) -> EclError {
+    EclError::msg(
+        Stage::Codegen,
+        format!("design `{entry}` has no hardware option (data-dominated machine)"),
+        Span::dummy(),
+    )
 }
 
 /// Batch code generation over a [`Workspace`] — the codegen side of
@@ -186,9 +188,14 @@ impl WorkspaceCodegenExt for Workspace {
     }
 
     fn emit_verilog_all(&self, jobs: &[(&str, &str)]) -> Vec<Result<String, EclError>> {
-        self.artifacts_all(jobs)
-            .into_iter()
-            .map(|r| r.and_then(|a| a.require_verilog().map(str::to_owned)))
+        // Verilog-only path: no C, gate estimation or cost modelling.
+        let machines = self.machine_all(jobs);
+        jobs.iter()
+            .zip(machines)
+            .map(|((_, entry), machine)| {
+                let efsm = machine?;
+                emit_verilog(&efsm).map_err(|_| no_hardware_option(entry))
+            })
             .collect()
     }
 }

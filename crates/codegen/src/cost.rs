@@ -384,7 +384,7 @@ mod tests {
                 ..Default::default()
             })
             .unwrap();
-        let mut opt = unopt.clone();
+        let mut opt = (*unopt).clone();
         efsm::opt::optimize(&mut opt);
         let c_un = task_cost(&unopt, &d, &p);
         let c_op = task_cost(&opt, &d, &p);

@@ -124,7 +124,14 @@ impl Compiler {
 /// `Arc`-backed: clones share the parse, elaboration and split
 /// results, which is what makes the [`crate::workspace::Workspace`]
 /// memoization and the simulator's per-task design copies cheap.
-#[derive(Debug, Clone)]
+///
+/// A design taken from a compiled [`crate::pipeline::Machine`] also
+/// carries that machine's EFSM and the [`CompileOptions`] it was
+/// built with, so [`Design::to_efsm`] under the same options hands
+/// the machine back instead of compiling it again. Designs from
+/// [`crate::pipeline::Split::to_design`] (and so from the
+/// [`Compiler`] facade and the workspace) carry none.
+#[derive(Clone)]
 pub struct Design {
     /// Entry module name.
     pub entry: String,
@@ -134,6 +141,23 @@ pub struct Design {
     pub elab: Arc<Elab>,
     /// Reactive program + data tables.
     pub split: Arc<SplitResult>,
+    /// The machine this design was compiled to, and the options used.
+    pub(crate) compiled: Option<(CompileOptions, Arc<Efsm>)>,
+}
+
+impl std::fmt::Debug for Design {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Design")
+            .field("entry", &self.entry)
+            .field("ast", &self.ast)
+            .field("elab", &self.elab)
+            .field("split", &self.split)
+            .field(
+                "compiled_states",
+                &self.compiled.as_ref().map(|(_, m)| m.states.len()),
+            )
+            .finish()
+    }
 }
 
 impl Design {
@@ -142,13 +166,19 @@ impl Design {
         &self.split.program
     }
 
-    /// Compile the reactive part to an EFSM.
+    /// The reactive part as an EFSM: the machine this design carries
+    /// when it was compiled under `opts`, a fresh compile otherwise.
     ///
     /// # Errors
     ///
     /// [`EclError`] with stage `efsm` (state explosion, incoherence…).
-    pub fn to_efsm(&self, opts: &CompileOptions) -> Result<Efsm, EclError> {
-        esterel::compile::compile(&self.split.program, opts).map_err(EclError::from)
+    pub fn to_efsm(&self, opts: &CompileOptions) -> Result<Arc<Efsm>, EclError> {
+        match &self.compiled {
+            Some((built_with, efsm)) if built_with == opts => Ok(Arc::clone(efsm)),
+            _ => esterel::compile::compile(&self.split.program, opts)
+                .map(Arc::new)
+                .map_err(EclError::from),
+        }
     }
 
     /// Build a fresh data runtime for this design.

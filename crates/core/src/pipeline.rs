@@ -414,6 +414,7 @@ impl Split {
             ast: Arc::clone(&self.elaborated.parsed.ast),
             elab: Arc::clone(&self.elaborated.elab),
             split: Arc::clone(&self.result),
+            compiled: None,
         }
     }
 
@@ -536,9 +537,20 @@ impl Machine {
         &self.diags
     }
 
-    /// Bundle the underlying split as a legacy [`Design`] (cheap).
+    /// The entry module.
+    pub fn entry(&self) -> &str {
+        self.ir.split.elaborated.entry()
+    }
+
+    /// Bundle the underlying split as a legacy [`Design`] (cheap). The
+    /// design carries this machine and its options:
+    /// [`Design::to_efsm`] under the same options returns this very
+    /// EFSM instead of compiling again.
     pub fn design(&self) -> Design {
-        self.ir.split.to_design()
+        Design {
+            compiled: Some((self.opts, Arc::clone(&self.efsm))),
+            ..self.ir.split.to_design()
+        }
     }
 
     /// Build a fresh data runtime for this design.
@@ -611,6 +623,31 @@ mod tests {
         assert!(machine.efsm().states.len() >= 2);
         let d = machine.design();
         assert_eq!(d.entry, "top");
+    }
+
+    #[test]
+    fn design_carries_its_machine_under_the_same_options() {
+        let split = Source::new(RELAY)
+            .parse()
+            .unwrap()
+            .elaborate("top")
+            .unwrap()
+            .split()
+            .unwrap();
+        let opts = CompileOptions::default();
+        let machine = split.ir().compile(&opts).unwrap();
+        let reused = machine.design().to_efsm(&opts).unwrap();
+        assert!(Arc::ptr_eq(&reused, &machine.efsm_arc()));
+        // Other options, or a design from the split alone, compile anew.
+        let other = CompileOptions {
+            optimize: false,
+            ..opts
+        };
+        let recompiled = machine.design().to_efsm(&other).unwrap();
+        assert!(!Arc::ptr_eq(&recompiled, &machine.efsm_arc()));
+        let cold = split.to_design().to_efsm(&opts).unwrap();
+        assert!(!Arc::ptr_eq(&cold, &machine.efsm_arc()));
+        assert_eq!(cold.stats(), machine.efsm().stats());
     }
 
     #[test]

@@ -355,7 +355,7 @@ impl Workspace {
             &self.counters.machine_misses,
             || {
                 self.compile(name, entry)
-                    .and_then(|design| design.to_efsm(&self.compile_options).map(Arc::new))
+                    .and_then(|design| design.to_efsm(&self.compile_options))
             },
         )
     }

@@ -27,7 +27,7 @@ use efsm::{ActionId, BitSet, Efsm, ExprId, PredId, SigKind, Signal, StateId};
 use std::fmt;
 
 /// Options controlling compilation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Maximum number of control states before giving up.
     pub max_states: usize,

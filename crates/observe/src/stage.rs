@@ -36,8 +36,8 @@ impl Monitored {
     /// [`EclError`] with stage `observe` from the first failing
     /// observer.
     pub fn attach(machine: &Machine) -> Result<Monitored, EclError> {
-        let ast = machine.ir().split().elaborated().parsed().ast().clone();
-        Monitored::from_ast(&machine.design().entry, &ast)
+        let ast = machine.ir().split().elaborated().parsed().ast();
+        Monitored::from_ast(machine.entry(), ast)
     }
 
     /// Build from a parsed translation unit (what a [`Workspace`]

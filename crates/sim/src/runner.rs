@@ -891,7 +891,9 @@ fn check_watchdog(
 /// N sessions pays for compilation exactly once.
 pub struct TaskProgram {
     design: Design,
-    efsm: Efsm,
+    /// The design's EFSM: the very machine a design taken from a
+    /// compiled pipeline `Machine` carries, when the options match.
+    efsm: Arc<Efsm>,
     /// Fused compiled backend of `efsm`: every state — pure or mixed —
     /// as mask-scan rows falling through into residual bytecode (only
     /// row-cap blowouts keep the s-graph walker).
@@ -923,6 +925,9 @@ pub struct SharedProgram {
 
 impl SharedProgram {
     /// Compile `designs` (one task each) into a shareable program set.
+    /// A design that carries a machine compiled under `compile_opts`
+    /// (one from `Machine::design`) is not compiled again: its task
+    /// shares that EFSM.
     ///
     /// # Errors
     ///
@@ -1105,7 +1110,7 @@ impl AsyncRunner {
 
     /// The compiled machines.
     pub fn machines(&self) -> impl Iterator<Item = &Efsm> {
-        self.tasks.iter().map(|t| &t.prog.efsm)
+        self.tasks.iter().map(|t| &*t.prog.efsm)
     }
 
     /// Compiled-backend coverage, one [`TaskCoverage`] per task.

@@ -5,6 +5,7 @@
 
 use ecl_repro::prelude::*;
 use sim::designs::{PROTOCOL_STACK, VOICE_PAGER};
+use sim::runner::SharedProgram;
 
 /// Parse-only: stop after the front end, inspect, never elaborate.
 #[test]
@@ -195,6 +196,73 @@ fn workspace_batch_codegen() {
     assert!(vs.iter().all(|v| v.is_err()));
     // Everything above reused the session's single parse.
     assert_eq!(ws.cache_stats().parse_misses, 1);
+}
+
+/// Compile each machine once: a program built from `Machine::design()`
+/// runs the machine's own EFSM, as one task and as a 3-task partition.
+#[test]
+fn program_from_machine_designs_runs_their_efsms() {
+    let parsed = Source::named("stack.ecl", PROTOCOL_STACK).parse().unwrap();
+    let opts = CompileOptions::default();
+    let compile = |module: &str, actuals: Option<&[String]>| {
+        parsed
+            .elaborate_bound(module, actuals)
+            .unwrap()
+            .split()
+            .unwrap()
+            .ir()
+            .compile(&opts)
+            .unwrap()
+    };
+    let mono = vec![compile("toplevel", None)];
+    let parts: Vec<Machine> = parsed
+        .instantiations("toplevel")
+        .iter()
+        .map(|i| compile(&i.module, Some(&i.actuals)))
+        .collect();
+    assert_eq!(parts.len(), 3);
+    for machines in [mono, parts] {
+        let program =
+            SharedProgram::compile(machines.iter().map(Machine::design).collect(), &opts).unwrap();
+        let runner = AsyncRunner::from_shared(&program, Default::default(), Default::default());
+        assert_eq!(runner.machines().count(), machines.len());
+        for (machine, efsm) in machines.iter().zip(runner.machines()) {
+            assert!(
+                std::ptr::eq(machine.efsm(), efsm),
+                "task `{}` was compiled again",
+                machine.entry()
+            );
+        }
+    }
+}
+
+/// A machine compiled under other options is compiled afresh: the
+/// program gets exactly what a design without a machine compiles to.
+#[test]
+fn program_recompiles_a_machine_built_under_other_options() {
+    let split = Source::named("pager.ecl", VOICE_PAGER)
+        .parse()
+        .unwrap()
+        .elaborate("pager")
+        .unwrap()
+        .split()
+        .unwrap();
+    let raw = split
+        .ir()
+        .compile(&CompileOptions {
+            optimize: false,
+            ..Default::default()
+        })
+        .unwrap();
+    let opts = CompileOptions::default();
+    let fresh = split.to_design().to_efsm(&opts).unwrap();
+    assert_ne!(raw.efsm().stats(), fresh.stats(), "optimize must matter");
+    let program = SharedProgram::compile(vec![raw.design()], &opts).unwrap();
+    let runner = AsyncRunner::from_shared(&program, Default::default(), Default::default());
+    let got = runner.machines().next().unwrap();
+    assert!(!std::ptr::eq(raw.efsm(), got));
+    assert_eq!(got.states.len(), fresh.states.len());
+    assert_eq!(got.stats(), fresh.stats());
 }
 
 /// The legacy facade still works and returns the unified error type.
